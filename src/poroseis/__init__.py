@@ -14,8 +14,8 @@ from .cagniard import (ArrivalTimes, ContourPoint, Geometry, WaveBranch,
                        q0_of_t, q1_of_t, snell_time, upsilon)
 from .coefficients import InterfaceCoefficients, assemble_system, solve_coefficients
 from .errors import (ConvergenceFailure, DomainError, GridTooCoarse,
-                     NonFiniteIntegrand, NonPhysical, NotConverged,
-                     PoroseisError, RealnessError, RootNotFound, SingularSystem)
+                     InvariantViolation, NonFiniteIntegrand, NonPhysical,
+                     NotConverged, PoroseisError, RealnessError, SingularSystem)
 from .green import (GreenTrace, HalfspaceModel, QuadratureConfig, Receiver,
                     green_trace, incident_trace, quadrature, reflected_trace,
                     rotate_to_3d, transmitted_trace)

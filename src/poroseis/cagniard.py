@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branch_math import branch_sqrt, fictitious_velocity
-from .errors import ConvergenceFailure, DomainError, RootNotFound
+from .errors import ConvergenceFailure, DomainError
 from .media import AcousticMedium, PoroelasticDerived
 
 # Offsets below this fraction of the total vertical path have no usable head
@@ -48,6 +48,12 @@ _MIN_HEAD_OFFSET = 1e-9
 _GAMMA_TOL = 1e-12
 # Residual target of the head-segment solve, scaled by (1 + t).
 _UPSILON_TOL = 1e-11
+# The stationary-ray Newton stops once the time slope is this many ulp of
+# 1/va + 1/vb, the size of its two terms; a step-size stop stalls near the
+# root where rounding dominates the slope.  The cap only bounds the
+# bisection fallback.
+_XI_SLOPE_ULPS = 8.0
+_XI_MAX_ITER = 60
 
 
 class WaveKind(enum.Enum):
@@ -146,56 +152,77 @@ def snell_time(xi, q, geom: Geometry, branch: WaveBranch):
     return t
 
 
-def _xi_zero(q, geom: Geometry, branch: WaveBranch):
+def _xi_zero(q, geom: Geometry, branch: WaveBranch, start=None):
     """Interface crossing of the fastest broken ray.
 
-    The one-way time is strictly convex in xi, so its derivative has exactly
-    one root in [0, x].  A short bisection brackets it, then Newton steps on
-    the slope finish the job (its derivative is the positive curvature, so
-    the iteration cannot leave the bracket once close).
+    The one-way time is strictly convex in xi, so its slope has exactly one
+    root in [0, x].  Newton steps on the slope (whose derivative is the
+    positive curvature) run inside a bracket kept by the slope's sign, and a
+    step leaving the bracket is replaced by bisection.  start is the first
+    iterate, e.g. the crossing at a nearby q; by default the crossing of
+    the straight source-receiver line.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if geom.x == 0.0:
         return np.zeros_like(q)
+    shape = q.shape
+    q = q.ravel()
     va = fictitious_velocity(branch.v_top, q)
     vb = fictitious_velocity(branch.v_bottom, q)
     h, d, x = geom.h, abs(geom.z), geom.x
-
-    def slope(xi):
-        return xi / (va * np.hypot(xi, h)) \
-            - (x - xi) / (vb * np.hypot(x - xi, d))
-
+    if start is None:
+        xi = np.full_like(q, x * h / (h + d))
+    else:
+        xi = np.clip(np.broadcast_to(start, shape).ravel(), 0.0, x)
     lo = np.zeros_like(q)
     hi = np.full_like(q, x)
-    for _ in range(22):
-        mid = 0.5 * (lo + hi)
-        neg = slope(mid) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    xi = 0.5 * (lo + hi)
-    for _ in range(4):
-        la = np.hypot(xi, h)
-        lb = np.hypot(x - xi, d)
-        g = xi / (va * la) - (x - xi) / (vb * lb)
-        curv = h * h / (va * la ** 3) + d * d / (vb * lb ** 3)
-        xi = np.clip(xi - g / curv, lo, hi)
-    return xi
+    tol = _XI_SLOPE_ULPS * np.finfo(float).eps * (1.0 / va + 1.0 / vb)
+
+    idx = np.arange(q.size)
+    for _ in range(_XI_MAX_ITER):
+        xs, ia, ib = xi[idx], va[idx], vb[idx]
+        la = np.hypot(xs, h)
+        lb = np.hypot(x - xs, d)
+        g = xs / (ia * la) - (x - xs) / (ib * lb)
+        live = np.abs(g) > tol[idx]
+        if not np.any(live):
+            break
+        idx, xs, ia, ib, la, lb, g = (a[live] for a in (idx, xs, ia, ib,
+                                                         la, lb, g))
+        lo_i = np.where(g < 0.0, xs, lo[idx])
+        hi_i = np.where(g > 0.0, xs, hi[idx])
+        curv = h * h / (ia * la ** 3) + d * d / (ib * lb ** 3)
+        cand = xs - g / curv
+        inside = (cand > lo_i) & (cand < hi_i)
+        xi[idx] = np.where(inside, cand, 0.5 * (lo_i + hi_i))
+        lo[idx] = lo_i
+        hi[idx] = hi_i
+    return xi.reshape(shape)
 
 
-def _t0_vec(q, geom: Geometry, branch: WaveBranch):
-    """Fictitious arrival time, vectorized over q."""
+def _t0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None):
+    """Fictitious arrival time, vectorized over q.
+
+    xi0 is the stationary crossing at q when already known.
+    """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if branch.kind is WaveKind.REFLECTED:
         return geom.r * np.sqrt(1.0 / branch.v_top ** 2 + q * q)
-    return snell_time(_xi_zero(q, geom, branch), q, geom, branch)
+    if xi0 is None:
+        xi0 = _xi_zero(q, geom, branch)
+    return snell_time(xi0, q, geom, branch)
 
 
-def _p0_vec(q, geom: Geometry, branch: WaveBranch):
-    """Saddle slowness p0(q): the contour leaves -i*p0 at the arrival time."""
+def _p0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None):
+    """Saddle slowness p0(q): the contour leaves -i*p0 at the arrival time.
+
+    xi0 is the stationary crossing at q when already known.
+    """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if branch.kind is WaveKind.REFLECTED:
         return (geom.x / geom.r) * np.sqrt(1.0 / branch.v_top ** 2 + q * q)
-    xi0 = _xi_zero(q, geom, branch)
+    if xi0 is None:
+        xi0 = _xi_zero(q, geom, branch)
     va = fictitious_velocity(branch.v_top, q)
     return xi0 / (va * np.hypot(xi0, geom.h))
 
@@ -204,58 +231,11 @@ def fictitious_arrival(q: float, geom: Geometry, branch: WaveBranch) -> float:
     """Earliest time of the volume wave at transverse slowness q.
 
     The reflected wave has the closed image form r/V(q).  Transmitted waves
-    minimize the two-leg travel time; the stationarity condition squares to
-    a quartic in the crossing offset whose admissible root is computed by
-    numpy.roots and checked against the original (unsquared) equation.
-
-    Raises
-    ------
-    RootNotFound
-        If no quartic root lies in [0, x] with a vanishing time slope.
+    minimize the two-leg travel time over the interface crossing; the
+    minimum comes from the same stationary-ray solve as every other arrival.
     """
     _depths(geom, branch)
-    if branch.kind is WaveKind.REFLECTED:
-        return geom.r * math.sqrt(1.0 / branch.v_top ** 2 + q * q)
-    if geom.x == 0.0:
-        return float(snell_time(0.0, q, geom, branch))
-
-    va = float(fictitious_velocity(branch.v_top, q))
-    vb = float(fictitious_velocity(branch.v_bottom, q))
-    sa, sb = 1.0 / va ** 2, 1.0 / vb ** 2
-    x, h, d = geom.x, geom.h, abs(geom.z)
-    coeffs = np.array([
-        sa - sb,
-        2.0 * x * (sb - sa),
-        (x * x + d * d) * sa - (x * x + h * h) * sb,
-        2.0 * x * h * h * sb,
-        -x * x * h * h * sb,
-    ])
-    scale = max(abs(c) for c in coeffs)
-    roots = np.roots(coeffs / scale)
-
-    va_arr = fictitious_velocity(branch.v_top, q)
-    vb_arr = fictitious_velocity(branch.v_bottom, q)
-    best = None
-    for root in roots:
-        if abs(root.imag) > 1e-6 * max(x, 1.0):
-            continue
-        xi = float(root.real)
-        if not -1e-9 * x <= xi <= x * (1.0 + 1e-9):
-            continue
-        xi = min(max(xi, 0.0), x)
-        slope = xi / (va * math.hypot(xi, h)) \
-            - (x - xi) / (vb * math.hypot(x - xi, d))
-        if abs(slope) > 1e-6 * (1.0 / va + 1.0 / vb):
-            continue
-        t = float(snell_time(xi, q, geom, branch))
-        if best is None or t < best:
-            best = t
-    del va_arr, vb_arr
-    if best is None:
-        raise RootNotFound(
-            f"no stationary interface crossing in [0, {x}] for q={q}, "
-            f"branch={branch.kind.value}")
-    return best
+    return float(_t0_vec(np.array([q], dtype=float), geom, branch)[0])
 
 
 def _head_time(q, geom: Geometry, branch: WaveBranch, v_max: float):
@@ -278,8 +258,10 @@ def arrival_times(geom: Geometry, branch: WaveBranch, v_max: float) -> ArrivalTi
     non-fatal cross-check.
     """
     d_top, d_bot = _depths(geom, branch)
-    t0 = fictitious_arrival(0.0, geom, branch)
-    p0 = float(_p0_vec(np.array([0.0]), geom, branch)[0])
+    q = np.zeros(1)
+    xi0 = _xi_zero(q, geom, branch)
+    t0 = float(_t0_vec(q, geom, branch, xi0)[0])
+    p0 = float(_p0_vec(q, geom, branch, xi0)[0])
     nan = float("nan")
     if geom.x < _MIN_HEAD_OFFSET * (d_top + d_bot) or p0 <= 1.0 / v_max:
         return ArrivalTimes(t0=t0, head_exists=False,
@@ -343,14 +325,7 @@ def q0_of_t(t: float, geom: Geometry, branch: WaveBranch) -> float:
 
 
 def _q0_scalar(t, geom, branch):
-    if branch.kind is WaveKind.REFLECTED:
-        rad = (t / geom.r) ** 2 - 1.0 / branch.v_top ** 2
-        if rad < 0.0:
-            raise DomainError(
-                f"t={t} is before the reflected arrival {geom.r / branch.v_top}")
-        return math.sqrt(rad)
-    out = _q0_vec(np.array([t]), geom, branch)
-    return float(out[0])
+    return float(_q0_vec(np.array([t], dtype=float), geom, branch)[0])
 
 
 def _q0_vec(t, geom: Geometry, branch: WaveBranch):
@@ -378,37 +353,41 @@ def _q0_vec(t, geom: Geometry, branch: WaveBranch):
         raise ConvergenceFailure(float(t.max()), hi_val, branch.kind.value,
                                  "volume-window inversion found no upper bracket")
 
-    def time_and_slope(q):
-        # The crossing point is stationary in xi, so the arrival slope in q
-        # needs no xi derivative.
-        xi0 = _xi_zero(q, geom, branch)
-        sa = np.sqrt(1.0 / branch.v_top ** 2 + q * q)
-        sb = np.sqrt(1.0 / branch.v_bottom ** 2 + q * q)
-        la = np.hypot(xi0, geom.h)
-        lb = np.hypot(geom.x - xi0, abs(geom.z))
-        return la * sa + lb * sb, q * (la / sa + lb / sb)
-
     # Newton on the arrival time, kept inside a shrinking bracket; the
     # arrival is increasing and convex in q, so steps from above converge
-    # monotonically once the bracket is tight.
+    # monotonically once the bracket is tight.  Only unconverged times
+    # iterate, each warm-starting its crossing from its previous iterate.
+    # The crossing point is stationary in xi, so the arrival slope in q
+    # needs no xi derivative.
     lo = np.zeros_like(t)
     hi = np.full_like(t, hi_val)
     q0 = 0.5 * (lo + hi)
+    xi = _xi_zero(q0, geom, branch)
     tol = 1e-12 * np.maximum(t, 1e-300)
+    idx = np.arange(t.size)
     for _ in range(80):
-        f, df = time_and_slope(q0)
-        f = f - t
-        done = np.abs(f) <= tol
-        if np.all(done):
+        q, xs = q0[idx], xi[idx]
+        sa = np.sqrt(1.0 / branch.v_top ** 2 + q * q)
+        sb = np.sqrt(1.0 / branch.v_bottom ** 2 + q * q)
+        la = np.hypot(xs, geom.h)
+        lb = np.hypot(geom.x - xs, abs(geom.z))
+        f = la * sa + lb * sb - t[idx]
+        df = q * (la / sa + lb / sb)
+        live = np.abs(f) > tol[idx]
+        if not np.any(live):
             break
-        lo = np.where(f < 0.0, q0, lo)
-        hi = np.where(f > 0.0, q0, hi)
+        idx, q, f, df = idx[live], q[live], f[live], df[live]
+        lo_i = np.where(f < 0.0, q, lo[idx])
+        hi_i = np.where(f > 0.0, q, hi[idx])
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(df > 0.0, f / np.maximum(df, 1e-300), 0.0)
-        cand = q0 - step
-        inside = (cand > lo) & (cand < hi) & np.isfinite(cand)
-        q0 = np.where(done, q0, np.where(inside, cand, 0.5 * (lo + hi)))
-    resid = np.abs(_t0_vec(q0, geom, branch) - t)
+        cand = q - step
+        inside = (cand > lo_i) & (cand < hi_i) & np.isfinite(cand)
+        q0[idx] = np.where(inside, cand, 0.5 * (lo_i + hi_i))
+        lo[idx] = lo_i
+        hi[idx] = hi_i
+        xi[idx] = _xi_zero(q0[idx], geom, branch, start=xi[idx])
+    resid = np.abs(_t0_vec(q0, geom, branch, xi) - t)
     if np.any(resid > 1e-9 * np.maximum(t, 1e-300)):
         i = int(np.argmax(resid))
         raise ConvergenceFailure(float(t[i]), float(q0[i]), branch.kind.value,
@@ -416,17 +395,25 @@ def _q0_vec(t, geom: Geometry, branch: WaveBranch):
     return q0
 
 
-def q1_of_t(t: float, geom: Geometry, branch: WaveBranch, v_max: float) -> float:
-    """Upper bound of the head window: the q whose head onset equals t."""
+def q1_of_t(t, geom: Geometry, branch: WaveBranch, v_max: float):
+    """Upper bound of the head window: the q whose head onset equals t.
+
+    Closed form; t may be a scalar (float result) or an array.
+    """
     d_top, d_bot = _depths(geom, branch)
     if geom.x < _MIN_HEAD_OFFSET * (d_top + d_bot):
         raise DomainError("no head segment at (near) zero offset")
     c1 = math.sqrt(max(1.0 / branch.v_top ** 2 - 1.0 / v_max ** 2, 0.0))
     c2 = math.sqrt(max(1.0 / branch.v_bottom ** 2 - 1.0 / v_max ** 2, 0.0))
-    rad = ((t - d_top * c1 - d_bot * c2) / geom.x) ** 2 - 1.0 / v_max ** 2
-    if rad < -1e-14:
-        raise DomainError(f"t={t} is before the head onset at zero slowness")
-    return math.sqrt(max(rad, 0.0))
+    t_arr = np.asarray(t, dtype=float)
+    lead = t_arr - d_top * c1 - d_bot * c2
+    rad = (lead / geom.x) ** 2 - 1.0 / v_max ** 2
+    early = (rad < -1e-14) | (lead < 0.0)
+    if np.any(early):
+        bad = float(t_arr.flat[np.argmax(early)])
+        raise DomainError(f"t={bad} is before the head onset at zero slowness")
+    out = np.sqrt(np.maximum(rad, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def volume_window(t: float, arrivals: ArrivalTimes, geom: Geometry,
@@ -472,23 +459,28 @@ def phase_time(gamma_val, q, geom: Geometry, branch: WaveBranch):
 
 def gamma(t: float, q: float, geom: Geometry, branch: WaveBranch) -> ContourPoint:
     """Volume-contour point at (t, q), for t past the fictitious arrival."""
-    t0q = float(_t0_vec(np.array([q]), geom, branch)[0])
-    if t <= t0q:
-        raise DomainError(
-            f"t={t} is not past the fictitious arrival {t0q} at q={q}")
     val, dt, res = _gamma_vec(t, np.array([q], dtype=float), geom, branch)
     return ContourPoint(value=complex(val[0]), dt=complex(dt[0]),
                         residual=float(res[0]))
 
 
-def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
-    """Volume-contour points for one time and an array of q, with d/dt.
+def _broadcast_tq(t, q):
+    """Flat float copies of t and q broadcast together, and their shape."""
+    t, q = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.atleast_1d(np.asarray(q, dtype=float)))
+    return t.ravel(), q.ravel(), q.shape
 
-    The reflected wave has a closed form.  Transmitted waves solve
-    T(gamma) = t by damped Newton iteration seeded at the saddle-point
-    expansion, with a planar residual search as a last resort.
+
+def _gamma_vec(t, q, geom: Geometry, branch: WaveBranch, xi0=None):
+    """Volume-contour points for times t and slownesses q, with d/dt.
+
+    t and q broadcast together.  The reflected wave has a closed form.
+    Transmitted waves solve T(gamma) = t by damped Newton iteration seeded
+    at the saddle-point expansion, with a planar residual search as a last
+    resort.  xi0, the stationary crossing at q (see _xi_zero), gives both
+    the fictitious arrival and the saddle; it is solved here when not given.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    t, q, shape = _broadcast_tq(t, q)
     d_top, d_bot = _depths(geom, branch)
     x = geom.x
 
@@ -497,30 +489,38 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
         r = geom.r
         rad = (t / r) ** 2 - 1.0 / va ** 2
         if np.any(rad <= 0.0):
+            i = int(np.argmax(rad <= 0.0))
             raise DomainError(
-                f"volume contour requested before arrival at q={q[np.argmax(rad <= 0.0)]}")
+                f"t={t[i]} is not past the fictitious arrival "
+                f"{r / va[i]} at q={q[i]}")
         big_d = np.sqrt(rad)
         gam = -1j * (x * t / r ** 2) + (d_top / r) * big_d
         kap = (d_top * t / r ** 2) - 1j * (x / r) * big_d
         dgdt = kap / (r * big_d)
         resid = np.abs(phase_time(gam, q, geom, branch) - t)
-        return gam, dgdt, resid
+        return gam.reshape(shape), dgdt.reshape(shape), resid.reshape(shape)
 
     va = fictitious_velocity(branch.v_top, q)
     vb = fictitious_velocity(branch.v_bottom, q)
-    t0q = _t0_vec(q, geom, branch)
+    if xi0 is None:
+        xi0 = _xi_zero(q, geom, branch)
+    xi0 = np.ravel(xi0)
+    t0q = _t0_vec(q, geom, branch, xi0)
     if np.any(t <= t0q):
+        i = int(np.argmax(t <= t0q))
         raise DomainError(
-            f"volume contour requested before arrival at q={q[np.argmax(t <= t0q)]}")
-    p0 = _p0_vec(q, geom, branch)
+            f"t={t[i]} is not past the fictitious arrival {t0q[i]} at q={q[i]}")
+    p0 = _p0_vec(q, geom, branch, xi0)
+    sa2 = 1.0 / va ** 2
+    sb2 = 1.0 / vb ** 2
 
-    def t_func(g):
-        return d_top * branch_sqrt(1.0 / va ** 2 + g * g) \
-            + d_bot * branch_sqrt(1.0 / vb ** 2 + g * g) + 1j * g * x
+    def kappas(g, i=slice(None)):
+        return branch_sqrt(sa2[i] + g * g), branch_sqrt(sb2[i] + g * g)
 
-    def t_slope(g):
-        ka = branch_sqrt(1.0 / va ** 2 + g * g)
-        kb = branch_sqrt(1.0 / vb ** 2 + g * g)
+    def t_func(g, ka, kb):
+        return d_top * ka + d_bot * kb + 1j * g * x
+
+    def t_slope(g, ka, kb):
         return d_top * g / ka + d_bot * g / kb + 1j * x
 
     # Saddle-point seed: T is quadratic in (gamma + i*p0) near the saddle
@@ -530,46 +530,60 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
     curv = d_top / (va ** 2 * ka0 ** 3) + d_bot / (vb ** 2 * kb0 ** 3)
     g = -1j * p0 + np.sqrt(2.0 * (t - t0q) / curv)
 
-    tol = _GAMMA_TOL * (1.0 + abs(t))
-    f = t_func(g) - t
+    tol = _GAMMA_TOL * (1.0 + np.abs(t))
+    ka, kb = kappas(g)
+    f = t_func(g, ka, kb) - t
+    # Only the points still above the residual target iterate; the vertical
+    # slownesses of each accepted iterate are kept for its next slope.
+    idx = np.flatnonzero((np.abs(f) > tol) | ~np.isfinite(f))
     for _ in range(100):
-        bad = (np.abs(f) > tol) | ~np.isfinite(f)
-        if not np.any(bad):
+        if idx.size == 0:
             break
+        g_i, f_i, t_i = g[idx], f[idx], t[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(bad, f / t_slope(g), 0.0)
+            step = f_i / t_slope(g_i, ka[idx], kb[idx])
         step = np.where(np.isfinite(step), step, 0.0)
-        g_new = g - step
-        f_new = t_func(g_new) - t
-        worse = bad & (np.abs(f_new) > np.abs(f))
+        g_new = g_i - step
+        ka_new, kb_new = kappas(g_new, idx)
+        f_new = t_func(g_new, ka_new, kb_new) - t_i
+        worse = np.abs(f_new) > np.abs(f_i)
         for _ in range(50):
             if not np.any(worse):
                 break
             step = np.where(worse, 0.5 * step, step)
-            g_new = np.where(worse, g - step, g_new)
-            f_new = np.where(worse, t_func(g_new) - t, f_new)
-            worse = worse & (np.abs(f_new) > np.abs(f))
-        g = np.where(bad, g_new, g)
-        f = np.where(bad, f_new, f)
+            g_new = np.where(worse, g_i - step, g_new)
+            ka_w, kb_w = kappas(g_new, idx)
+            ka_new = np.where(worse, ka_w, ka_new)
+            kb_new = np.where(worse, kb_w, kb_new)
+            f_new = np.where(worse, t_func(g_new, ka_w, kb_w) - t_i, f_new)
+            worse = worse & (np.abs(f_new) > np.abs(f_i))
+        g[idx] = g_new
+        f[idx] = f_new
+        ka[idx] = ka_new
+        kb[idx] = kb_new
+        idx = idx[(np.abs(f_new) > tol[idx]) | ~np.isfinite(f_new)]
 
     # Roots come in pairs (g, -conj(g)); keep the one in the right half.
     flip = g.real < -1e-13 * np.abs(g)
     if np.any(flip):
         g = np.where(flip, -np.conj(g), g)
-        f = t_func(g) - t
+        ka, kb = kappas(g)
+        f = t_func(g, ka, kb) - t
 
     bad = (np.abs(f) > tol) | ~np.isfinite(f)
-    for i in np.flatnonzero(bad):
-        g[i] = _plane_search(
-            lambda gc, i=i: complex(
-                d_top * branch_sqrt(1.0 / float(va[i]) ** 2 + gc * gc)
-                + d_bot * branch_sqrt(1.0 / float(vb[i]) ** 2 + gc * gc)
-                + 1j * gc * x),
-            t, complex(g[i]), tol, float(q[i]), branch)
-    f = t_func(g) - t
+    if np.any(bad):
+        for i in np.flatnonzero(bad):
+            g[i] = _plane_search(
+                lambda gc, i=i: complex(
+                    d_top * branch_sqrt(float(sa2[i]) + gc * gc)
+                    + d_bot * branch_sqrt(float(sb2[i]) + gc * gc)
+                    + 1j * gc * x),
+                float(t[i]), complex(g[i]), float(tol[i]), float(q[i]), branch)
+        ka, kb = kappas(g)
+        f = t_func(g, ka, kb) - t
 
-    dgdt = 1.0 / t_slope(g)
-    return g, dgdt, np.abs(f)
+    dgdt = 1.0 / t_slope(g, ka, kb)
+    return g.reshape(shape), dgdt.reshape(shape), np.abs(f).reshape(shape)
 
 
 def _plane_search(t_scalar, t, center, tol, q, branch):
@@ -620,61 +634,70 @@ def upsilon(t: float, q: float, geom: Geometry, branch: WaveBranch,
                         residual=float(res[0]))
 
 
-def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float):
-    """Head-segment points for one time and an array of q.
+def _upsilon_vec(t, q, geom: Geometry, branch: WaveBranch, v_max: float,
+                 xi0=None):
+    """Head-segment points for times t and slownesses q (broadcast together).
 
-    Solves T(-i*zeta) = t for real zeta between the fastest branch point and
-    the saddle slowness, where T is real and strictly increasing.  Newton
-    with a bisection safeguard; the time derivative is -i/T'(zeta), whose
-    negative imaginary part is asserted.
+    Solves T(-i*zeta) = t for real zeta between the fastest branch point
+    and the saddle slowness, where T is real and strictly increasing.
+    Newton with a bisection safeguard; the time derivative is -i/T'(zeta),
+    whose negative imaginary part is asserted.  xi0 is the stationary
+    crossing at q when already known (see _gamma_vec).
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    t, q, shape = _broadcast_tq(t, q)
     d_top, d_bot = _depths(geom, branch)
     x = geom.x
     va = fictitious_velocity(branch.v_top, q)
     vb = fictitious_velocity(branch.v_bottom, q)
+    sa2 = 1.0 / va ** 2
+    sb2 = 1.0 / vb ** 2
     tip = np.sqrt(1.0 / v_max ** 2 + q * q)
-    p0 = _p0_vec(q, geom, branch)
+    p0 = _p0_vec(q, geom, branch, None if xi0 is None else np.ravel(xi0))
 
-    def t_of(zeta):
-        pa = np.sqrt(np.maximum(1.0 / va ** 2 - zeta * zeta, 0.0))
-        pb = np.sqrt(np.maximum(1.0 / vb ** 2 - zeta * zeta, 0.0))
+    def t_of(zeta, i=slice(None)):
+        pa = np.sqrt(np.maximum(sa2[i] - zeta * zeta, 0.0))
+        pb = np.sqrt(np.maximum(sb2[i] - zeta * zeta, 0.0))
         return d_top * pa + d_bot * pb + zeta * x
 
-    def t_slope(zeta):
-        pa = np.sqrt(np.maximum(1.0 / va ** 2 - zeta * zeta, 1e-300))
-        pb = np.sqrt(np.maximum(1.0 / vb ** 2 - zeta * zeta, 1e-300))
+    def t_slope(zeta, i=slice(None)):
+        pa = np.sqrt(np.maximum(sa2[i] - zeta * zeta, 1e-300))
+        pb = np.sqrt(np.maximum(sb2[i] - zeta * zeta, 1e-300))
         return x - d_top * zeta / pa - d_bot * zeta / pb
 
     lo = tip.copy()
     hi = p0.copy()
     zeta = 0.5 * (lo + hi)
-    tol = _UPSILON_TOL * (1.0 + abs(t))
+    tol = _UPSILON_TOL * (1.0 + np.abs(t))
     f = t_of(zeta) - t
+    # Only the points still above the residual target iterate.
+    idx = np.flatnonzero(np.abs(f) > tol)
     for _ in range(100):
-        bad = np.abs(f) > tol
-        if not np.any(bad):
+        if idx.size == 0:
             break
-        lo = np.where(bad & (f < 0.0), zeta, lo)
-        hi = np.where(bad & (f > 0.0), zeta, hi)
-        slope = t_slope(zeta)
+        z, f_i = zeta[idx], f[idx]
+        lo_i = np.where(f_i < 0.0, z, lo[idx])
+        hi_i = np.where(f_i > 0.0, z, hi[idx])
+        slope = t_slope(z, idx)
         with np.errstate(divide="ignore", invalid="ignore"):
-            znew = zeta - f / slope
-        inside = (znew > lo) & (znew < hi) & (slope > 0.0)
-        znew = np.where(bad & inside, znew, 0.5 * (lo + hi))
-        zeta = np.where(bad, znew, zeta)
-        f = t_of(zeta) - t
+            znew = z - f_i / slope
+        inside = (znew > lo_i) & (znew < hi_i) & (slope > 0.0)
+        z = np.where(inside, znew, 0.5 * (lo_i + hi_i))
+        zeta[idx] = z
+        lo[idx] = lo_i
+        hi[idx] = hi_i
+        f[idx] = t_of(z, idx) - t[idx]
+        idx = idx[np.abs(f[idx]) > tol[idx]]
 
     resid = np.abs(f)
     if np.any(resid > tol):
-        i = int(np.argmax(resid))
-        raise ConvergenceFailure(t, float(q[i]), branch.kind.value,
+        i = int(np.argmax(resid > tol))
+        raise ConvergenceFailure(float(t[i]), float(q[i]), branch.kind.value,
                                  f"head segment stalled at residual {resid[i]:.3e}")
     slope = t_slope(zeta)
     if np.any(slope <= 0.0):
         i = int(np.argmax(slope <= 0.0))
-        raise ConvergenceFailure(t, float(q[i]), branch.kind.value,
+        raise ConvergenceFailure(float(t[i]), float(q[i]), branch.kind.value,
                                  "head segment hit a non-increasing travel time")
     val = -1j * zeta
     dt = -1j / slope
-    return val, dt, resid
+    return val.reshape(shape), dt.reshape(shape), resid.reshape(shape)

@@ -25,10 +25,6 @@ class SingularSystem(PoroseisError):
         super().__init__(msg)
 
 
-class RootNotFound(PoroseisError):
-    """A required polynomial root does not exist in the admissible interval."""
-
-
 class ConvergenceFailure(PoroseisError):
     """An iterative contour solve did not reach its residual target.
 
@@ -68,3 +64,7 @@ class NotConverged(PoroseisError):
 
 class RealnessError(PoroseisError):
     """A quantity that must be real carried a non-negligible imaginary part."""
+
+
+class InvariantViolation(PoroseisError):
+    """A result breaks a property the computation guarantees by construction."""

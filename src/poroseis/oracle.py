@@ -14,7 +14,7 @@ integrand.  Agreement of these values with Laplace transforms of the
 time-domain traces is the strongest end-to-end check the package has.
 
 Also here: the brute-force arrival-time oracle used to validate the
-stationary-ray quartic.
+stationary-ray solver.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ _EVEN, _ODD = "even", "odd"
 _FLUID_CHANNELS = ("xi_ref", "u_ref_x", "u_ref_z", "u_inc_z")
 _POROUS_CHANNELS = ("u_pf_x", "u_pf_z", "u_ps_x", "u_ps_z", "u_s_x", "u_s_z")
 
+# Grid solutions keyed on the frozen media values and the grid, so that
+# equal media share an entry and no entry outlives what it was computed for.
 _SOLVE_CACHE: dict = {}
 
 
@@ -92,7 +94,7 @@ def _grid_solution(model: HalfspaceModel, q_width: float, n: int):
     1e-10 of the coefficient scale abort with RealnessError, since real
     slownesses must give real systems.
     """
-    key = (id(model), q_width, n)
+    key = (model.acoustic, model.poro.params, q_width, n)
     if key in _SOLVE_CACHE:
         return _SOLVE_CACHE[key]
     qx1, wx = _gauss_nodes(q_width, n)
@@ -254,7 +256,7 @@ def grid_min_arrival(q: float, geom: Geometry, branch: WaveBranch,
 
     Scans the interface crossing over [0, x] with n uniform samples and
     refines the bracket around the best one to 1e-10 relative width.  Slow
-    on purpose; this is the oracle the stationary-ray quartic is tested
+    on purpose; this is the oracle the stationary-ray solver is tested
     against.
     """
     if n < 100000:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, InvariantViolation
 from .green import GreenTrace, Receiver, rotate_to_3d
 
 KIND_FIFTH_GAUSSIAN_DERIVATIVE = "fifth_gaussian_derivative"
@@ -166,8 +166,9 @@ def convolve(green: GreenTrace, wavelet: SourceWavelet, dt: float,
 
     u_x, u_y, u_z = rotate_to_3d(u_plane, u_vert,
                                  green.receiver.x, green.receiver.y)
-    if green.receiver.y == 0.0:
-        # The plane computation carries no transverse motion.
-        assert not np.any(u_y)
+    if green.receiver.y == 0.0 and np.any(u_y):
+        raise InvariantViolation(
+            "receiver at y = 0 got transverse motion from the in-plane "
+            "rotation")
     return Seismogram(t=t, receiver=green.receiver, p=gain * p,
                       u_x=gain * u_x, u_y=gain * u_y, u_z=gain * u_z)

@@ -85,7 +85,7 @@ def test_arrival_increases_with_slowness(branches, porous_geom):
 @given(frac=st.floats(0.0, 1.0), q=st.floats(0.0, 4e-3),
        x=st.floats(50.0, 1500.0), d=st.floats(20.0, 1500.0))
 def test_stationary_crossing_is_minimal(frac, q, x, d):
-    """No interface crossing beats the one the quartic selects."""
+    """No interface crossing beats the one the stationary-ray solver selects."""
     geom = Geometry(h=400.0, x=x, z=-d)
     wb = WaveBranch(WaveKind.TRANSMITTED_S, 1500.0, 2377.691210598581)
     best = fictitious_arrival(q, geom, wb)
@@ -146,6 +146,8 @@ def test_head_window_shape(branches, wide_geom, model):
 
     assert head_window(0.99 * arr.t_h1, arr, wide_geom, branch,
                        model.v_max) is None
+    with pytest.raises(DomainError):
+        q1_of_t(0.1 * arr.t_h1, wide_geom, branch, model.v_max)
     assert head_window(1.01 * arr.t_h2, arr, wide_geom, branch,
                        model.v_max) is None
 

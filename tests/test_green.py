@@ -176,3 +176,94 @@ def test_transmitted_onset_matches_arrival(model, porous_receiver, fast_cfg):
         assert not np.any(out.u_x[quiet]) and not np.any(out.u_z[quiet])
         live = t > 1.05 * onset
         assert np.any(np.abs(out.u_z[live]) > 0.0)
+
+
+def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
+    """Reference time loop: one sample at a time through quadrature()."""
+    from poroseis import green
+    from poroseis.cagniard import arrival_times, head_window, q0_of_t
+
+    arr = arrival_times(geom, branch, model.v_max)
+    regime, t_use = green._classify(t_grid, arr)
+    out = np.zeros((t_grid.size, n_channels))
+    for i, (reg, t) in enumerate(zip(regime, t_use)):
+        t = float(t)
+        if reg in (green._MIXED, green._VOLUME):
+            out[i] += quadrature(
+                lambda q: green._volume_values(model, geom, branch, t, q),
+                0.0, q0_of_t(t, geom, branch), cfg, "upper_sqrt")
+        if reg in (green._HEAD, green._MIXED):
+            window = head_window(t, arr, geom, branch, model.v_max)
+            if window is not None:
+                out[i] += quadrature(
+                    lambda q: green._head_values(model, geom, branch, t, q),
+                    window[0], window[1], cfg,
+                    "lower_sqrt" if reg == green._MIXED else "regular")
+    return out / math.pi ** 2, regime
+
+
+def test_block_evaluator_matches_per_sample_quadrature(model, monkeypatch):
+    """Blocks of windows give the per-sample traces to 1e-12 of peak, on
+    volume, head and mixed windows, and no block exceeds the node budget."""
+    from poroseis import green
+    from poroseis.cagniard import (arrival_times, reflected_branch,
+                                   transmitted_branches)
+
+    batches = []
+    assemble = green._assemble_batch
+
+    def spy(acoustic, poro, qq, *kappas):
+        batches.append(np.size(qq))
+        return assemble(acoustic, poro, qq, *kappas)
+
+    monkeypatch.setattr(green, "_assemble_batch", spy)
+    cfg = QuadratureConfig(n=64)
+    wide = Receiver(x=800.0, y=0.0, z=-200.0)
+    branches = transmitted_branches(model.acoustic, model.poro)
+    cases = [(Receiver(x=400.0, y=0.0, z=533.0),
+              reflected_branch(model.acoustic), 3),
+             (wide, branches[WaveKind.TRANSMITTED_PF], 2),
+             (wide, branches[WaveKind.TRANSMITTED_PS], 2)]
+    seen = set()
+    for receiver, branch, n_channels in cases:
+        geom = green._geometry_for(model, receiver)
+        arr = arrival_times(geom, branch, model.v_max)
+        onset = arr.t_h1 if arr.head_exists else arr.t0
+        t = np.linspace(0.98 * onset, 1.3 * onset, 120)
+        expect, regime = _per_sample_trace(model, geom, branch, t, cfg,
+                                           n_channels)
+        seen |= {(branch.kind, green._REGIME_NAMES[r]) for r in regime}
+        batches.clear()
+        got = green._contour_trace(model, geom, branch, t, cfg, n_channels)
+        assert max(batches) <= green._NODE_BUDGET
+        assert max(batches) > cfg.n  # windows really share blocks
+        peak = np.max(np.abs(expect), axis=0)
+        assert np.all(np.abs(got - expect) <= 1e-12 * peak), branch.kind
+    assert {(WaveKind.REFLECTED, "volume"),
+            (WaveKind.TRANSMITTED_PF, "volume"),
+            (WaveKind.TRANSMITTED_PS, "head"),
+            (WaveKind.TRANSMITTED_PS, "mixed")} <= seen
+
+
+def test_block_failure_names_its_sample(model, porous_receiver, monkeypatch):
+    """A non-finite node inside a block of windows is reported with the t,
+    regime and branch of the sample it belongs to."""
+    from poroseis import cagniard
+
+    t = np.linspace(0.5, 0.6, 80)
+    target = float(t[45])
+    solve = cagniard._gamma_vec
+
+    def poisoned(t_arr, q, *args):
+        gam, dgdt, res = solve(t_arr, q, *args)
+        hit = np.flatnonzero(np.broadcast_to(t_arr, np.shape(q)) == target)
+        if hit.size:
+            dgdt[hit[3]] = np.nan
+        return gam, dgdt, res
+
+    monkeypatch.setattr(cagniard, "_gamma_vec", poisoned)
+    with pytest.raises(NonFiniteIntegrand) as info:
+        transmitted_trace(model, porous_receiver, WaveKind.TRANSMITTED_PF, t,
+                          QuadratureConfig(n=64))
+    assert f"[t={target}, regime=volume, branch=transmitted_pf]" \
+        in str(info.value)

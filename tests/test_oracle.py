@@ -158,3 +158,29 @@ def test_grid_oracle_rejects_coarse_scan(acoustic, poro):
     with pytest.raises(ValueError):
         grid_min_arrival(0.0, Geometry(h=500.0, x=400.0, z=-533.0), branch,
                          n=5000)
+
+
+def test_grid_cache_is_keyed_on_media_values(acoustic, poro_params,
+                                             monkeypatch):
+    """Equal media share a grid solution; different media never do."""
+    from dataclasses import replace
+
+    from poroseis import oracle
+    from poroseis.green import HalfspaceModel
+    from poroseis.media import AcousticMedium, derive_poroelastic
+
+    monkeypatch.setattr(oracle, "_SOLVE_CACHE", {})
+    first = HalfspaceModel(acoustic, derive_poroelastic(poro_params), 500.0)
+    twin = HalfspaceModel(AcousticMedium(rho_plus=acoustic.rho_plus,
+                                         v_plus=acoustic.v_plus),
+                          derive_poroelastic(replace(poro_params)), 300.0)
+    stiffer = HalfspaceModel(acoustic, derive_poroelastic(
+        replace(poro_params, mu=1.1 * poro_params.mu)), 500.0)
+    q_width, n = 1e-3, 8
+
+    base = oracle._grid_solution(first, q_width, n)
+    assert oracle._grid_solution(twin, q_width, n) is base
+    other = oracle._grid_solution(stiffer, q_width, n)
+    assert other is not base
+    assert not np.array_equal(other[-1], base[-1])
+    assert len(oracle._SOLVE_CACHE) == 2

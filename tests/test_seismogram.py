@@ -166,3 +166,27 @@ def test_offplane_receiver_matches_rotated_inplane(model, fast_cfg, wavelet):
     np.testing.assert_allclose(tilted.u_x * 400.0, tilted.u_y * 300.0,
                                rtol=0.0, atol=1e-18)
     np.testing.assert_allclose(tilted.p, plane.p, rtol=1e-12)
+
+
+def test_convolve_rejects_transverse_leak(model, porous_receiver, wavelet,
+                                          monkeypatch):
+    """A y = 0 receiver with transverse motion raises, also under python -O."""
+    from poroseis.errors import InvariantViolation
+    from poroseis.green import GreenTrace, TransmittedChannels
+    from poroseis.cagniard import WaveKind
+
+    dt = 1e-3
+    t = np.arange(0.0, 0.3, dt)
+    ramp = np.where(t > 0.1, t - 0.1, 0.0)
+    trace = GreenTrace(t=t, receiver=porous_receiver, incident=None,
+                       reflected=None, transmitted={
+                           WaveKind.TRANSMITTED_PF: TransmittedChannels(
+                               u_x=ramp, u_z=ramp)})
+    assert not np.any(convolve(trace, wavelet, dt=dt).u_y)
+
+    def leaky(u_x, u_z, x, y):
+        return u_x, 1e-3 * u_x, u_z
+
+    monkeypatch.setattr("poroseis.seismogram.rotate_to_3d", leaky)
+    with pytest.raises(InvariantViolation):
+        convolve(trace, wavelet, dt=dt)
