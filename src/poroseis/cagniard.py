@@ -321,11 +321,12 @@ def arrival_times(geom: Geometry, branch: WaveBranch, v_max: float) -> ArrivalTi
 
 def q0_of_t(t: float, geom: Geometry, branch: WaveBranch) -> float:
     """Upper bound of the volume window: the q with fictitious arrival t."""
-    return _q0_scalar(t, geom, branch)
-
-
-def _q0_scalar(t, geom, branch):
     return float(_q0_vec(np.array([t], dtype=float), geom, branch)[0])
+
+
+# The scalar inversion's former name, which the benchmark's span groups
+# (bench/spans.py) still list.
+_q0_scalar = q0_of_t
 
 
 def _q0_vec(t, geom: Geometry, branch: WaveBranch):
@@ -336,13 +337,14 @@ def _q0_vec(t, geom: Geometry, branch: WaveBranch):
         if np.any(rad < 0.0):
             bad = float(t[np.argmax(rad < 0.0)])
             raise DomainError(
-                f"t={bad} is before the reflected arrival {geom.r / branch.v_top}")
+                f"t={bad} is before the reflected arrival {geom.r / branch.v_top}",
+                t=bad)
         return np.sqrt(rad)
 
     t0 = float(_t0_vec(np.array([0.0]), geom, branch)[0])
     if np.any(t < t0):
         bad = float(t[np.argmax(t < t0)])
-        raise DomainError(f"t={bad} is before the volume arrival {t0}")
+        raise DomainError(f"t={bad} is before the volume arrival {t0}", t=bad)
 
     hi_val = max(2.0 / branch.v_bottom, 2.0 / branch.v_top)
     for _ in range(200):
@@ -411,36 +413,64 @@ def q1_of_t(t, geom: Geometry, branch: WaveBranch, v_max: float):
     early = (rad < -1e-14) | (lead < 0.0)
     if np.any(early):
         bad = float(t_arr.flat[np.argmax(early)])
-        raise DomainError(f"t={bad} is before the head onset at zero slowness")
+        raise DomainError(f"t={bad} is before the head onset at zero slowness",
+                          t=bad)
     out = np.sqrt(np.maximum(rad, 0.0))
     return float(out) if out.ndim == 0 else out
+
+
+def _volume_window_vec(t, arrivals: ArrivalTimes, geom: Geometry,
+                       branch: WaveBranch):
+    """Volume windows (0, q0(t)) at times t, vectorized.
+
+    Returns the bounds lo and hi and the mask keep of the times that have a
+    (non-empty) window.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    hi = np.zeros_like(t)
+    keep = t > arrivals.t0
+    if np.any(keep):
+        hi[keep] = _q0_vec(t[keep], geom, branch)
+    return np.zeros_like(t), hi, keep & (hi > 0.0)
+
+
+def _head_window_vec(t, arrivals: ArrivalTimes, geom: Geometry,
+                     branch: WaveBranch, v_max: float, q0=None):
+    """Head windows at times t, vectorized; returns lo, hi and keep.
+
+    Between the head onset and the volume arrival the window is
+    (0, q1(t)); between the volume arrival and the head end it shrinks to
+    (q0(t), q1(t)).  q0, when given, holds the volume bound at every t past
+    the volume arrival, so it is not inverted again.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    lo = np.zeros_like(t)
+    hi = np.zeros_like(t)
+    if not arrivals.head_exists:
+        return lo, hi, np.zeros(t.shape, dtype=bool)
+    keep = (t > arrivals.t_h1) & (t < arrivals.t_h2)
+    if np.any(keep):
+        hi[keep] = q1_of_t(t[keep], geom, branch, v_max)
+        late = keep & (t > arrivals.t0)
+        if q0 is not None:
+            lo[late] = q0[late]
+        elif np.any(late):
+            lo[late] = _q0_vec(t[late], geom, branch)
+    return lo, hi, keep & (hi > lo)
 
 
 def volume_window(t: float, arrivals: ArrivalTimes, geom: Geometry,
                   branch: WaveBranch) -> tuple[float, float] | None:
     """Transverse-slowness window of the volume piece at time t, or None."""
-    if t <= arrivals.t0:
-        return None
-    return 0.0, _q0_scalar(t, geom, branch)
+    lo, hi, keep = _volume_window_vec(t, arrivals, geom, branch)
+    return (float(lo[0]), float(hi[0])) if keep[0] else None
 
 
 def head_window(t: float, arrivals: ArrivalTimes, geom: Geometry,
                 branch: WaveBranch, v_max: float) -> tuple[float, float] | None:
-    """Transverse-slowness window of the head piece at time t, or None.
-
-    Between the head onset and the volume arrival the window is
-    (0, q1(t)); between the volume arrival and the head end it shrinks to
-    (q0(t), q1(t)).
-    """
-    if not arrivals.head_exists:
-        return None
-    if t <= arrivals.t_h1 or t >= arrivals.t_h2:
-        return None
-    hi = q1_of_t(t, geom, branch, v_max)
-    lo = 0.0 if t <= arrivals.t0 else _q0_scalar(t, geom, branch)
-    if hi <= lo:
-        return None
-    return lo, hi
+    """Transverse-slowness window of the head piece at time t, or None."""
+    lo, hi, keep = _head_window_vec(t, arrivals, geom, branch, v_max)
+    return (float(lo[0]), float(hi[0])) if keep[0] else None
 
 
 def phase_time(gamma_val, q, geom: Geometry, branch: WaveBranch):
@@ -464,23 +494,23 @@ def gamma(t: float, q: float, geom: Geometry, branch: WaveBranch) -> ContourPoin
                         residual=float(res[0]))
 
 
-def _broadcast_tq(t, q):
-    """Flat float copies of t and q broadcast together, and their shape."""
-    t, q = np.broadcast_arrays(np.asarray(t, dtype=float),
-                               np.atleast_1d(np.asarray(q, dtype=float)))
-    return t.ravel(), q.ravel(), q.shape
+def _flat_q(q):
+    """Flat float copy of q (at least 1-d) and its shape."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    return q.ravel(), q.shape
 
 
-def _gamma_vec(t, q, geom: Geometry, branch: WaveBranch, xi0=None):
-    """Volume-contour points for times t and slownesses q, with d/dt.
+def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
+    """Volume-contour points for one time t and an array of q, with d/dt.
 
-    t and q broadcast together.  The reflected wave has a closed form.
-    Transmitted waves solve T(gamma) = t by damped Newton iteration seeded
-    at the saddle-point expansion, with a planar residual search as a last
-    resort.  xi0, the stationary crossing at q (see _xi_zero), gives both
-    the fictitious arrival and the saddle; it is solved here when not given.
+    The reflected wave has a closed form.  Transmitted waves solve
+    T(gamma) = t by damped Newton iteration seeded at the saddle-point
+    expansion, with a planar residual search as a last resort.  xi0, the
+    stationary crossing at q (see _xi_zero), gives both the fictitious
+    arrival and the saddle; it is solved here when not given.
     """
-    t, q, shape = _broadcast_tq(t, q)
+    t = float(t)
+    q, shape = _flat_q(q)
     d_top, d_bot = _depths(geom, branch)
     x = geom.x
 
@@ -491,7 +521,7 @@ def _gamma_vec(t, q, geom: Geometry, branch: WaveBranch, xi0=None):
         if np.any(rad <= 0.0):
             i = int(np.argmax(rad <= 0.0))
             raise DomainError(
-                f"t={t[i]} is not past the fictitious arrival "
+                f"t={t} is not past the fictitious arrival "
                 f"{r / va[i]} at q={q[i]}")
         big_d = np.sqrt(rad)
         gam = -1j * (x * t / r ** 2) + (d_top / r) * big_d
@@ -509,7 +539,7 @@ def _gamma_vec(t, q, geom: Geometry, branch: WaveBranch, xi0=None):
     if np.any(t <= t0q):
         i = int(np.argmax(t <= t0q))
         raise DomainError(
-            f"t={t[i]} is not past the fictitious arrival {t0q[i]} at q={q[i]}")
+            f"t={t} is not past the fictitious arrival {t0q[i]} at q={q[i]}")
     p0 = _p0_vec(q, geom, branch, xi0)
     sa2 = 1.0 / va ** 2
     sb2 = 1.0 / vb ** 2
@@ -530,7 +560,7 @@ def _gamma_vec(t, q, geom: Geometry, branch: WaveBranch, xi0=None):
     curv = d_top / (va ** 2 * ka0 ** 3) + d_bot / (vb ** 2 * kb0 ** 3)
     g = -1j * p0 + np.sqrt(2.0 * (t - t0q) / curv)
 
-    tol = _GAMMA_TOL * (1.0 + np.abs(t))
+    tol = _GAMMA_TOL * (1.0 + abs(t))
     ka, kb = kappas(g)
     f = t_func(g, ka, kb) - t
     # Only the points still above the residual target iterate; the vertical
@@ -539,13 +569,13 @@ def _gamma_vec(t, q, geom: Geometry, branch: WaveBranch, xi0=None):
     for _ in range(100):
         if idx.size == 0:
             break
-        g_i, f_i, t_i = g[idx], f[idx], t[idx]
+        g_i, f_i = g[idx], f[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f_i / t_slope(g_i, ka[idx], kb[idx])
         step = np.where(np.isfinite(step), step, 0.0)
         g_new = g_i - step
         ka_new, kb_new = kappas(g_new, idx)
-        f_new = t_func(g_new, ka_new, kb_new) - t_i
+        f_new = t_func(g_new, ka_new, kb_new) - t
         worse = np.abs(f_new) > np.abs(f_i)
         for _ in range(50):
             if not np.any(worse):
@@ -555,13 +585,13 @@ def _gamma_vec(t, q, geom: Geometry, branch: WaveBranch, xi0=None):
             ka_w, kb_w = kappas(g_new, idx)
             ka_new = np.where(worse, ka_w, ka_new)
             kb_new = np.where(worse, kb_w, kb_new)
-            f_new = np.where(worse, t_func(g_new, ka_w, kb_w) - t_i, f_new)
+            f_new = np.where(worse, t_func(g_new, ka_w, kb_w) - t, f_new)
             worse = worse & (np.abs(f_new) > np.abs(f_i))
         g[idx] = g_new
         f[idx] = f_new
         ka[idx] = ka_new
         kb[idx] = kb_new
-        idx = idx[(np.abs(f_new) > tol[idx]) | ~np.isfinite(f_new)]
+        idx = idx[(np.abs(f_new) > tol) | ~np.isfinite(f_new)]
 
     # Roots come in pairs (g, -conj(g)); keep the one in the right half.
     flip = g.real < -1e-13 * np.abs(g)
@@ -578,7 +608,7 @@ def _gamma_vec(t, q, geom: Geometry, branch: WaveBranch, xi0=None):
                     d_top * branch_sqrt(float(sa2[i]) + gc * gc)
                     + d_bot * branch_sqrt(float(sb2[i]) + gc * gc)
                     + 1j * gc * x),
-                float(t[i]), complex(g[i]), float(tol[i]), float(q[i]), branch)
+                t, complex(g[i]), tol, float(q[i]), branch)
         ka, kb = kappas(g)
         f = t_func(g, ka, kb) - t
 
@@ -634,9 +664,9 @@ def upsilon(t: float, q: float, geom: Geometry, branch: WaveBranch,
                         residual=float(res[0]))
 
 
-def _upsilon_vec(t, q, geom: Geometry, branch: WaveBranch, v_max: float,
+def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float,
                  xi0=None):
-    """Head-segment points for times t and slownesses q (broadcast together).
+    """Head-segment points for one time t and an array of q.
 
     Solves T(-i*zeta) = t for real zeta between the fastest branch point
     and the saddle slowness, where T is real and strictly increasing.
@@ -644,7 +674,8 @@ def _upsilon_vec(t, q, geom: Geometry, branch: WaveBranch, v_max: float,
     whose negative imaginary part is asserted.  xi0 is the stationary
     crossing at q when already known (see _gamma_vec).
     """
-    t, q, shape = _broadcast_tq(t, q)
+    t = float(t)
+    q, shape = _flat_q(q)
     d_top, d_bot = _depths(geom, branch)
     x = geom.x
     va = fictitious_velocity(branch.v_top, q)
@@ -667,7 +698,7 @@ def _upsilon_vec(t, q, geom: Geometry, branch: WaveBranch, v_max: float,
     lo = tip.copy()
     hi = p0.copy()
     zeta = 0.5 * (lo + hi)
-    tol = _UPSILON_TOL * (1.0 + np.abs(t))
+    tol = _UPSILON_TOL * (1.0 + abs(t))
     f = t_of(zeta) - t
     # Only the points still above the residual target iterate.
     idx = np.flatnonzero(np.abs(f) > tol)
@@ -685,18 +716,18 @@ def _upsilon_vec(t, q, geom: Geometry, branch: WaveBranch, v_max: float,
         zeta[idx] = z
         lo[idx] = lo_i
         hi[idx] = hi_i
-        f[idx] = t_of(z, idx) - t[idx]
-        idx = idx[np.abs(f[idx]) > tol[idx]]
+        f[idx] = t_of(z, idx) - t
+        idx = idx[np.abs(f[idx]) > tol]
 
     resid = np.abs(f)
     if np.any(resid > tol):
         i = int(np.argmax(resid > tol))
-        raise ConvergenceFailure(float(t[i]), float(q[i]), branch.kind.value,
+        raise ConvergenceFailure(t, float(q[i]), branch.kind.value,
                                  f"head segment stalled at residual {resid[i]:.3e}")
     slope = t_slope(zeta)
     if np.any(slope <= 0.0):
         i = int(np.argmax(slope <= 0.0))
-        raise ConvergenceFailure(float(t[i]), float(q[i]), branch.kind.value,
+        raise ConvergenceFailure(t, float(q[i]), branch.kind.value,
                                  "head segment hit a non-increasing travel time")
     val = -1j * zeta
     dt = -1j / slope

@@ -42,7 +42,15 @@ class ConvergenceFailure(PoroseisError):
 
 
 class DomainError(PoroseisError):
-    """An operation was requested outside its admissible (t, q) domain."""
+    """An operation was requested outside its admissible (t, q) domain.
+
+    t, when given, is the offending time, so a vectorized caller can tell
+    which of its samples failed.
+    """
+
+    def __init__(self, msg="", t=None):
+        self.t = t
+        super().__init__(msg)
 
 
 class NonFiniteIntegrand(PoroseisError):

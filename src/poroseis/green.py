@@ -13,8 +13,8 @@ along the deformed contours of :mod:`poroseis.cagniard`:
                                 Re[W(upsilon) * dupsilon/dt] dq ]
 
 The window bounds at each t follow from the arrival-time structure.  All
-samples of a trace are classified and their windows inverted at once; the
-windows' quadrature nodes are then evaluated in blocks of whole windows.  The
+samples of a trace are classified and their windows inverted at once; each
+window's quadrature nodes are then evaluated together in one pass.  The
 fluid-side pressure is carried by its first time integral xi (the natural
 primitive produced by the contour construction); its displacements and the
 porous-side displacements are ordinary Green functions ready for wavelet
@@ -33,18 +33,11 @@ from .branch_math import fictitious_velocity, kappa, kappa_below_cut
 from .cagniard import (ArrivalTimes, Geometry, WaveBranch, WaveKind,
                        arrival_times, reflected_branch, transmitted_branches)
 from .coefficients import _assemble_batch, _solve_batch
-from .errors import DomainError, NonFiniteIntegrand
+from .errors import DomainError, NonFiniteIntegrand, PoroseisError
 from .media import AcousticMedium, PoroelasticDerived
 
 # Samples closer to a regime edge than this fraction of t are nudged off it.
 _EDGE_BAND = 1e-12
-# Most quadrature nodes evaluated together in one block of the time loop
-# (whole windows, at least one).  Measured on the fixture porous receiver:
-# at n = 2000 budgets of 4096 and 8192 nodes raise peak RSS by 2.1 and
-# 7.7 MiB over this one (1.1-1.3 kB per added node), while one window per
-# block keeps the peak of the per-sample loop; at n = 64 this budget was the
-# fastest of 512 to 16384.
-_NODE_BUDGET = 2048
 
 _QUIET, _HEAD, _MIXED, _VOLUME = range(4)
 _REGIME_NAMES = ("quiet", "head", "mixed", "volume")
@@ -123,28 +116,6 @@ class GreenTrace:
     transmitted: dict[WaveKind, TransmittedChannels]
 
 
-def _rule(a, b, n: int, endpoint: str, sin_substitution: bool):
-    """Midpoint nodes and weights, each (k, n), on the windows (a[k], b[k]).
-
-    endpoint as in quadrature; every window has b > a.
-    """
-    a = np.asarray(a, dtype=float)[:, None]
-    b = np.asarray(b, dtype=float)[:, None]
-    mid = np.arange(n) + 0.5
-    if sin_substitution and endpoint == "upper_sqrt":
-        th_lo = np.arcsin(np.clip(a / b, 0.0, 1.0))
-        h = (0.5 * math.pi - th_lo) / n
-        theta = th_lo + mid * h
-        return b * np.sin(theta), b * np.cos(theta) * h
-    if sin_substitution and endpoint == "lower_sqrt":
-        h = np.sqrt(b * b - a * a) / n
-        u = mid * h
-        nodes = np.sqrt(a * a + u * u)
-        return nodes, (u / nodes) * h
-    h = (b - a) / n
-    return a + mid * h, np.broadcast_to(h, (h.shape[0], n))
-
-
 def quadrature(integrand, a: float, b: float, cfg: QuadratureConfig,
                endpoint: str = "regular"):
     """Integrate integrand over (a, b) with the midpoint rule.
@@ -157,8 +128,23 @@ def quadrature(integrand, a: float, b: float, cfg: QuadratureConfig,
     """
     if not b > a:
         return 0.0
-    nodes, weights = _rule([a], [b], cfg.n, endpoint, cfg.sin_substitution)
-    nodes, weights = nodes[0], weights[0]
+    n = cfg.n
+    if cfg.sin_substitution and endpoint == "upper_sqrt":
+        th_lo = math.asin(min(max(a / b, 0.0), 1.0))
+        h = (0.5 * math.pi - th_lo) / n
+        theta = th_lo + (np.arange(n) + 0.5) * h
+        nodes = b * np.sin(theta)
+        weights = b * np.cos(theta) * h
+    elif cfg.sin_substitution and endpoint == "lower_sqrt":
+        u_hi = math.sqrt(b * b - a * a)
+        h = u_hi / n
+        u = (np.arange(n) + 0.5) * h
+        nodes = np.sqrt(a * a + u * u)
+        weights = (u / nodes) * h
+    else:
+        h = (b - a) / n
+        nodes = a + (np.arange(n) + 0.5) * h
+        weights = np.full(n, h)
 
     values = np.asarray(integrand(nodes))
     if not np.all(np.isfinite(values)):
@@ -198,11 +184,10 @@ def _channel_weights(branch: WaveBranch, model: HalfspaceModel, i_gam, qq,
 
 
 def _volume_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
-                   t, q, xi0=None):
+                   t: float, q, xi0=None):
     """Volume integrand Re[W(gamma) * dgamma/dt], one channel row per node.
 
-    t and q are flat arrays of equal size (or t a scalar); xi0 as in
-    cagniard._gamma_vec.
+    xi0 as in cagniard._gamma_vec.
     """
     ac, pd = model.acoustic, model.poro
     gam, dgdt, _ = cagniard._gamma_vec(t, q, geom, branch, xi0)
@@ -219,7 +204,7 @@ def _volume_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
 
 
 def _head_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
-                 t, q, xi0=None):
+                 t: float, q, xi0=None):
     """Head integrand Re[W(upsilon) * dupsilon/dt], one channel row per node."""
     ac, pd = model.acoustic, model.poro
     ups, dups, _ = cagniard._upsilon_vec(t, q, geom, branch, model.v_max, xi0)
@@ -253,61 +238,27 @@ def _classify(t: np.ndarray, arr: ArrivalTimes) -> tuple[np.ndarray, np.ndarray]
     return regime, t_use
 
 
-def _windows(t_use, regime, arr: ArrivalTimes, geom: Geometry,
-             branch: WaveBranch, v_max: float):
+def _windows(t_use, arr: ArrivalTimes, geom: Geometry, branch: WaveBranch,
+             v_max: float):
     """Quadrature windows of every live sample, grouped by rule.
 
     Returns (integrand, endpoint, rows, a, b) tuples: integrand is
     _volume_values or _head_values, rows the sample indices, (a, b) the
     window bounds.  Volume windows come first, so each sample adds its
-    volume part before its head part.  Mixed samples reuse the volume bound
-    q0 as the lower head bound.
+    volume part before its head part.  Head windows past the volume arrival
+    (mixed samples) start at the volume bound q0 and take the lower_sqrt
+    rule.
     """
-    vol = (regime == _MIXED) | (regime == _VOLUME)
-    q0 = np.zeros(t_use.size)
-    if np.any(vol):
-        q0[vol] = cagniard._q0_vec(t_use[vol], geom, branch)
-    vol_rows = np.flatnonzero(vol & (q0 > 0.0))
-    groups = [(_volume_values, "upper_sqrt", vol_rows,
-               np.zeros(vol_rows.size), q0[vol_rows])]
-
-    head = ((regime == _HEAD) | (regime == _MIXED)) & (t_use > arr.t_h1) \
-        & (t_use < arr.t_h2)
-    if np.any(head):
-        rows = np.flatnonzero(head)
-        hi = cagniard.q1_of_t(t_use[rows], geom, branch, v_max)
-        lo = np.where(regime[rows] == _MIXED, q0[rows], 0.0)
-        keep = hi > lo
-        rows, lo, hi = rows[keep], lo[keep], hi[keep]
-        mixed = regime[rows] == _MIXED
-        groups += [(_head_values, "regular", rows[~mixed], lo[~mixed],
-                    hi[~mixed]),
-                   (_head_values, "lower_sqrt", rows[mixed], lo[mixed],
-                    hi[mixed])]
+    lo, q0, keep = cagniard._volume_window_vec(t_use, arr, geom, branch)
+    rows = np.flatnonzero(keep)
+    groups = [(_volume_values, "upper_sqrt", rows, lo[rows], q0[rows])]
+    lo, hi, keep = cagniard._head_window_vec(t_use, arr, geom, branch, v_max,
+                                             q0)
+    for endpoint, part in (("regular", t_use <= arr.t0),
+                           ("lower_sqrt", t_use > arr.t0)):
+        rows = np.flatnonzero(keep & part)
+        groups.append((_head_values, endpoint, rows, lo[rows], hi[rows]))
     return [g for g in groups if g[2].size]
-
-
-def _block_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
-                  integrand, t: np.ndarray, nodes: np.ndarray, xi_prev):
-    """integrand values (k, n, channels) of k windows' nodes at times t (k,).
-
-    Transmitted branches also return the stationary crossings (k, n) of the
-    nodes, solved once per node and warm-started from xi_prev (n,), the
-    crossings of the previous window at the same mapped nodes.
-    """
-    k, n = nodes.shape
-    q = nodes.ravel()
-    t = np.repeat(t, n)
-    xi0 = None
-    if branch.kind is not WaveKind.REFLECTED:
-        start = None if xi_prev is None else np.tile(xi_prev, k)
-        xi0 = cagniard._xi_zero(q, geom, branch, start).reshape(k, n)
-    vals = integrand(model, geom, branch, t, q, xi0).reshape(k, n, -1)
-    bad = ~np.all(np.isfinite(vals), axis=2)
-    if np.any(bad):
-        r, j = np.argwhere(bad)[0]
-        raise NonFiniteIntegrand(float(nodes[r, j]), vals[r, j])
-    return vals, xi0
 
 
 def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
@@ -315,34 +266,37 @@ def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
                    n_channels: int) -> np.ndarray:
     """Shared time loop of the reflected and transmitted traces.
 
-    The windows of all samples are found at once and evaluated in blocks of
-    whole windows holding at most _NODE_BUDGET nodes (at least one window).
-    A failure names the sample it happened at, its regime and the branch.
+    The windows of all samples are found at once; each window's nodes are
+    then evaluated in one pass.  Transmitted branches solve the stationary
+    crossing once per node, warm-started from the previous window's
+    crossings at the same mapped nodes.  A failure names the sample it
+    happened at, its regime and the branch.
     """
     arr = arrival_times(geom, branch, model.v_max)
     regime, t_use = _classify(t_grid, arr)
     out = np.zeros((t_grid.size, n_channels))
-    n = cfg.n
-    per_block = max(1, _NODE_BUDGET // n)
-    for integrand, endpoint, rows, a, b in _windows(t_use, regime, arr, geom,
-                                                     branch, model.v_max):
+    try:
+        windows = _windows(t_use, arr, geom, branch, model.v_max)
+    except PoroseisError as exc:
+        hit = np.flatnonzero(t_use == getattr(exc, "t", None))
+        if hit.size:
+            raise _name_sample(exc, hit[0], t_grid, regime, branch)
+        raise
+    transmitted = branch.kind is not WaveKind.REFLECTED
+    for integrand, endpoint, rows, a, b in windows:
         xi_prev = None
-        for lo in range(0, rows.size, per_block):
-            blk = rows[lo:lo + per_block]
-            nodes, weights = _rule(a[lo:lo + per_block], b[lo:lo + per_block],
-                                   n, endpoint, cfg.sin_substitution)
-
-            def evaluate(part):
-                return _block_values(model, geom, branch, integrand,
-                                     t_use[blk[part]], nodes[part], xi_prev)
+        for i, lo, hi in zip(rows, a, b):
+            def values(q, t=t_use[i]):
+                nonlocal xi_prev
+                if not transmitted:
+                    return integrand(model, geom, branch, t, q)
+                xi_prev = cagniard._xi_zero(q, geom, branch, xi_prev)
+                return integrand(model, geom, branch, t, q, xi_prev)
 
             try:
-                vals, xi0 = evaluate(slice(None))
+                out[i] += quadrature(values, lo, hi, cfg, endpoint)
             except Exception as exc:
-                raise _name_sample(exc, evaluate, blk, t_grid, regime, branch)
-            if xi0 is not None:
-                xi_prev = xi0[-1]
-            out[blk] += np.einsum("kn,knc->kc", weights, vals)
+                raise _name_sample(exc, i, t_grid, regime, branch)
     out /= math.pi ** 2
     if not np.all(np.isfinite(out)):
         i = int(np.argmax(~np.all(np.isfinite(out), axis=1)))
@@ -350,22 +304,11 @@ def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     return out
 
 
-def _name_sample(exc: Exception, evaluate, blk, t_grid, regime,
+def _name_sample(exc: Exception, i, t_grid, regime,
                  branch: WaveBranch) -> Exception:
-    """exc of a failed block, with the t, regime and branch of its sample.
-
-    Evaluation is elementwise, so a failing block of several windows holds a
-    window that fails on its own; evaluating them one at a time finds it.
-    """
-    at = [blk[0], blk[-1]]
-    for r in range(blk.size if blk.size > 1 else 0):
-        try:
-            evaluate(slice(r, r + 1))
-        except Exception as row_exc:
-            exc, at = row_exc, [blk[r]]
-            break
-    times = "..".join(str(float(t_grid[i])) for i in dict.fromkeys(at))
-    exc.args = (f"{exc} [t={times}, regime={_REGIME_NAMES[regime[at[0]]]}, "
+    """exc with the t, regime and branch of sample i appended."""
+    exc.args = (f"{exc} [t={float(t_grid[i])}, "
+                f"regime={_REGIME_NAMES[regime[i]]}, "
                 f"branch={branch.kind.value}]",) + exc.args[1:]
     return exc
 

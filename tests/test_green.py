@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from poroseis.cagniard import WaveKind
-from poroseis.errors import DomainError, NonFiniteIntegrand
+from poroseis.errors import ConvergenceFailure, DomainError, NonFiniteIntegrand
 from poroseis.green import (QuadratureConfig, Receiver, branch_arrivals,
                             green_trace, incident_trace, quadrature,
                             reflected_trace, rotate_to_3d, transmitted_trace)
@@ -202,9 +202,9 @@ def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
     return out / math.pi ** 2, regime
 
 
-def test_block_evaluator_matches_per_sample_quadrature(model, monkeypatch):
-    """Blocks of windows give the per-sample traces to 1e-12 of peak, on
-    volume, head and mixed windows, and no block exceeds the node budget."""
+def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
+    """The batched time loop gives the per-sample traces to 1e-12 of peak,
+    on volume, head and mixed windows, one window per interface solve."""
     from poroseis import green
     from poroseis.cagniard import (arrival_times, reflected_branch,
                                    transmitted_branches)
@@ -235,8 +235,7 @@ def test_block_evaluator_matches_per_sample_quadrature(model, monkeypatch):
         seen |= {(branch.kind, green._REGIME_NAMES[r]) for r in regime}
         batches.clear()
         got = green._contour_trace(model, geom, branch, t, cfg, n_channels)
-        assert max(batches) <= green._NODE_BUDGET
-        assert max(batches) > cfg.n  # windows really share blocks
+        assert set(batches) == {cfg.n}
         peak = np.max(np.abs(expect), axis=0)
         assert np.all(np.abs(got - expect) <= 1e-12 * peak), branch.kind
     assert {(WaveKind.REFLECTED, "volume"),
@@ -245,9 +244,9 @@ def test_block_evaluator_matches_per_sample_quadrature(model, monkeypatch):
             (WaveKind.TRANSMITTED_PS, "mixed")} <= seen
 
 
-def test_block_failure_names_its_sample(model, porous_receiver, monkeypatch):
-    """A non-finite node inside a block of windows is reported with the t,
-    regime and branch of the sample it belongs to."""
+def test_window_failure_names_its_sample(model, porous_receiver, monkeypatch):
+    """A non-finite node of one window is reported with the t, regime and
+    branch of the sample it belongs to."""
     from poroseis import cagniard
 
     t = np.linspace(0.5, 0.6, 80)
@@ -263,6 +262,26 @@ def test_block_failure_names_its_sample(model, porous_receiver, monkeypatch):
 
     monkeypatch.setattr(cagniard, "_gamma_vec", poisoned)
     with pytest.raises(NonFiniteIntegrand) as info:
+        transmitted_trace(model, porous_receiver, WaveKind.TRANSMITTED_PF, t,
+                          QuadratureConfig(n=64))
+    assert f"[t={target}, regime=volume, branch=transmitted_pf]" \
+        in str(info.value)
+
+
+def test_window_inversion_failure_names_its_sample(model, porous_receiver,
+                                                   monkeypatch):
+    """A window inversion that fails at one time of the vectorized call is
+    reported with that sample's t, regime and branch."""
+    from poroseis import cagniard
+
+    t = np.linspace(0.5, 0.6, 80)
+    target = float(t[30])
+
+    def failing(t_arr, geom, branch):
+        raise ConvergenceFailure(target, 0.0, branch.kind.value, "stub")
+
+    monkeypatch.setattr(cagniard, "_q0_vec", failing)
+    with pytest.raises(ConvergenceFailure) as info:
         transmitted_trace(model, porous_receiver, WaveKind.TRANSMITTED_PF, t,
                           QuadratureConfig(n=64))
     assert f"[t={target}, regime=volume, branch=transmitted_pf]" \
