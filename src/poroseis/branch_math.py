@@ -13,10 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Horizontal and vertical slownesses, s/m.  Real-valued along the original
-# integration axis, complex along deformed contours.
-Slowness = complex
-
 # Arguments closer to the negative real axis than this are treated as lying
 # exactly on the branch cut.
 _CUT_WIDTH = 1e-300

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,9 +252,8 @@ def arrival_times(geom: Geometry, branch: WaveBranch, v_max: float) -> ArrivalTi
     The head segment exists when the saddle slowness at q = 0 exceeds the
     fastest slowness 1/v_max (post-critical geometry) and the offset is not
     degenerate.  q_max, the largest transverse slowness carrying a head
-    segment, is found by bisection on the sign change of
-    t0(q) - t_head(q); the closed critical-ray expression serves as a
-    non-fatal cross-check.
+    segment, has a closed form: it is where the stationary ray itself
+    reaches the critical angle.
     """
     d_top, d_bot = _depths(geom, branch)
     q = np.zeros(1)
@@ -278,43 +276,7 @@ def arrival_times(geom: Geometry, branch: WaveBranch, v_max: float) -> ArrivalTi
     if rad <= 0.0:
         raise ConvergenceFailure(t0, 0.0, branch.kind.value,
                                  "inconsistent head-segment gate")
-    q_closed = math.sqrt(rad)
-
-    # The time gap t0(q) - t_head(q) itself only touches zero at q_max (its
-    # slope vanishes there too, because the stationary ray degenerates into
-    # the critical one), so bisect the transversal form of the same
-    # condition: saddle slowness minus the fastest branch-point slowness.
-    def saddle_excess(q):
-        return float(_p0_vec(np.array([q]), geom, branch)[0]) \
-            - math.sqrt(1.0 / v_max ** 2 + q * q)
-
-    hi = None
-    cand = q_closed
-    for _ in range(60):
-        cand *= 1.25
-        if saddle_excess(cand) < 0.0:
-            hi = cand
-            break
-    if hi is None:
-        warnings.warn(
-            f"head-segment end bisection found no bracket near q={q_closed}; "
-            f"falling back to the closed form", stacklevel=2)
-        q_max = q_closed
-    else:
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if saddle_excess(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        q_max = 0.5 * (lo + hi)
-        if abs(q_max - q_closed) > 1e-6 * (q_closed + 1.0 / v_max):
-            warnings.warn(
-                f"head-segment end disagrees with the critical-ray form: "
-                f"bisection {q_max}, closed {q_closed}", stacklevel=2)
+    q_max = math.sqrt(rad)
     t_h2 = float(_head_time(q_max, geom, branch, v_max))
     return ArrivalTimes(t0=t0, head_exists=True, t_h1=t_h1, t_h2=t_h2, q_max=q_max)
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .cagniard import WaveKind
-from .errors import NotConverged, PoroseisError
+from .errors import NonPhysical, NotConverged, PoroseisError
 from .green import (GreenTrace, HalfspaceModel, QuadratureConfig, Receiver,
                     branch_arrivals, green_trace, reflected_trace,
                     transmitted_trace)
@@ -150,6 +150,10 @@ def load_config(cfg: dict) -> RunSetup:
     violations = validate(acoustic, params)
     if violations:
         raise ConfigError("; ".join(violations))
+    try:
+        poro = derive_poroelastic(params)
+    except NonPhysical as exc:
+        raise ConfigError(str(exc)) from exc
 
     src_sec = _section(cfg, "source", {"height_m", "f0_hz", "gain"})
     height = _num(src_sec, "source", "height_m")
@@ -215,9 +219,7 @@ def load_config(cfg: dict) -> RunSetup:
     if not isinstance(verify_n, int) or verify_n < 8:
         raise ConfigError(f"verify.grid_n must be an integer >= 8, got {verify_n!r}")
 
-    model = HalfspaceModel(acoustic=acoustic,
-                           poro=derive_poroelastic(params),
-                           source_height=height)
+    model = HalfspaceModel(acoustic=acoustic, poro=poro, source_height=height)
     return RunSetup(
         config=cfg, model=model, wavelet=SourceWavelet(f0=f0), gain=gain,
         receivers=receivers, t_end=t_end, dt=dt,

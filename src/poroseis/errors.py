@@ -12,8 +12,9 @@ class NonPhysical(PoroseisError):
 class SingularSystem(PoroseisError):
     """The interface linear system is (numerically) singular at some slowness.
 
-    Carries the horizontal slowness pair at which the pivot or the residual
-    check failed, so a failing run can be reproduced directly.
+    Carries the horizontal slowness pair at which the solve, the
+    equilibrated condition check or the residual check failed, so a failing
+    run can be reproduced directly.
     """
 
     def __init__(self, q_x, q_y, detail=""):

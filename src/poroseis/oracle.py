@@ -14,7 +14,8 @@ integrand.  Agreement of these values with Laplace transforms of the
 time-domain traces is the strongest end-to-end check the package has.
 
 Also here: the brute-force arrival-time oracle used to validate the
-stationary-ray solver.
+stationary-ray solver, and the bisection that checks the closed-form end of
+the head segment.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cagniard import Geometry, WaveBranch, snell_time
+from .cagniard import Geometry, WaveBranch, _p0_vec, snell_time
 from .coefficients import _assemble_batch, _solve_batch
 from .errors import DomainError, NotConverged, RealnessError
 from .green import HalfspaceModel, Receiver
@@ -285,3 +286,34 @@ def grid_min_arrival(q: float, geom: Geometry, branch: WaveBranch,
             d = a + inv_phi * (b - a)
             fd = float(snell_time(d, q, geom, branch))
     return float(snell_time(0.5 * (a + b), q, geom, branch))
+
+
+def bisect_q_max(geom: Geometry, branch: WaveBranch, v_max: float) -> float:
+    """End of the head segment by bisection, without the closed form.
+
+    The time gap t0(q) - t_head(q) only touches zero at q_max (its slope
+    vanishes there too, because the stationary ray degenerates into the
+    critical one), so this bisects the transversal form of the same
+    condition: saddle slowness minus the fastest branch-point slowness,
+    positive below q_max and negative above.  The geometry must carry a
+    head segment.
+    """
+    def saddle_excess(q):
+        return float(_p0_vec(np.array([q]), geom, branch)[0]) \
+            - math.sqrt(1.0 / v_max ** 2 + q * q)
+
+    if not saddle_excess(0.0) > 0.0:
+        raise DomainError("geometry carries no head segment")
+    lo, hi = 0.0, 1.0 / v_max
+    while saddle_excess(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e6 / v_max:
+            raise DomainError("saddle excess keeps its sign; no head-segment end")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if saddle_excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid

@@ -70,6 +70,17 @@ def test_main_flags_broken_config_file(tmp_path, capsys):
     assert main(["compute", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+def test_main_flags_inadmissible_medium(tmp_path, capsys):
+    """A medium that passes the field checks but has no real Biot speeds is
+    a configuration error (exit 2), not a traceback."""
+    cfg = fixture_config()
+    cfg["poroelastic"].update(phi=0.9, k_s_pa=1e9, k_f_pa=1e10, k_b_pa=0.99e9)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["compute", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_time_grid_counts():
     cfg = small_config("unused")
     setup = load_config(cfg)

@@ -1,4 +1,4 @@
-"""Interface system assembly and the pivoted linear solve."""
+"""Interface system assembly and the LAPACK solve with its singularity gates."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,11 @@ from poroseis.branch_math import kappa
 from poroseis.coefficients import (_assemble_batch, _solve_batch,
                                    assemble_system, solve_coefficients)
 from poroseis.errors import SingularSystem
+from poroseis.media import PoroelasticParams, derive_poroelastic
 
 # Normal-incidence coefficients for the validation material, frozen after
-# cross-checking the hand-rolled solve against numpy.linalg.solve to
-# machine precision.
+# cross-checking a hand-written Gaussian elimination against
+# numpy.linalg.solve to machine precision.
 R_NORMAL = 1.3493252110766281e-4
 T_S_NORMAL = 6.4347872519235e-4
 
@@ -85,3 +86,44 @@ def test_singular_error_carries_slowness():
     with pytest.raises(SingularSystem) as err:
         _solve_batch(a, b, np.array([7e-4]), np.array([0.0]))
     assert err.value.q_x == pytest.approx(7e-4)
+
+
+def test_mixed_unit_system_is_not_singular(acoustic):
+    """The rows mix 1/rho and Pa: this admissible medium's raw condition
+    number is about 1e14 but the equilibrated one about 6.5e2, so a pivot
+    test against the raw row-sum norm would reject a well-posed system."""
+    poro = derive_poroelastic(PoroelasticParams(
+        rho_s=2040.2182209046007, rho_f=1113.4460472353273,
+        phi=0.3060616344185112, a=2.6519144443407985, k_s=28438797176.24685,
+        k_f=1794341380.5625176, k_b=21080471159.22857, mu=29635011739.050343))
+    q_x = 7.188761993841277e-07 - 5.392549196783516e-04j
+    q_y = 4.6162754850875387e-04
+    c = solve_coefficients(acoustic, poro, q_x, q_y)
+    a, b = assemble_system(acoustic, poro, q_x, q_y)
+    x = np.array([c.r, c.t_pf, c.t_ps, c.t_s])
+    resid = np.max(np.abs(a @ x - b))
+    scale = max(np.max(np.abs(b)),
+                np.max(np.sum(np.abs(a), axis=1)) * np.max(np.abs(x)))
+    assert resid <= 1e-10 * scale
+
+
+def test_ill_conditioned_system_raises():
+    """Two rows equal to 1e-15: LAPACK solves it, the equilibrated
+    condition bound rejects it."""
+    a = np.eye(4, dtype=complex)[np.newaxis].repeat(2, axis=0)
+    a[1, 0, 1] = a[1, 1, 0] = 1.0
+    a[1, 1, 1] = 1.0 + 1e-15
+    b = np.ones((2, 4), dtype=complex)
+    b[1, 1] = 0.0
+    with pytest.raises(SingularSystem, match="condition") as err:
+        _solve_batch(a, b, np.array([1e-4, 5e-4]), 2e-4)
+    assert err.value.q_x == pytest.approx(5e-4)
+
+
+def test_non_finite_system_raises():
+    a = np.eye(4, dtype=complex)[np.newaxis]
+    a[0, 2, 2] = np.nan
+    b = np.ones((1, 4), dtype=complex)
+    with pytest.raises(SingularSystem) as err:
+        _solve_batch(a, b, np.array([3e-4]), np.array([1e-4]))
+    assert err.value.q_y == pytest.approx(1e-4)

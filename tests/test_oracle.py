@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from poroseis.cagniard import (Geometry, WaveBranch, WaveKind,
-                               fictitious_arrival, transmitted_branches)
+from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, arrival_times,
+                               fictitious_arrival, reflected_branch,
+                               transmitted_branches)
 from poroseis.errors import DomainError, NotConverged
 from poroseis.green import Receiver, incident_trace
-from poroseis.oracle import (LaplaceProbe, default_probe, grid_min_arrival,
+from poroseis.oracle import (LaplaceProbe, bisect_q_max, default_probe,
+                             grid_min_arrival,
                              incident_pressure_transform, laplace_of_trace,
                              laplace_reference)
 
@@ -151,6 +153,30 @@ def test_grid_oracle_confirms_stationary_ray(acoustic, poro):
         fast = fictitious_arrival(q, geom, branch)
         slow = grid_min_arrival(q, geom, branch)
         assert abs(fast - slow) <= 1e-8
+
+
+def test_head_segment_end_matches_bisection(acoustic, poro, model, rng):
+    """The closed critical-ray q_max agrees with the bisection oracle on the
+    fixture's head-wave branches and on random post-critical geometries."""
+    branches = [reflected_branch(acoustic),
+                *transmitted_branches(acoustic, poro).values()]
+    cases = [(Geometry(h=500.0, x=400.0, z=-533.0), branches[2]),
+             (Geometry(h=500.0, x=800.0, z=-200.0), branches[2]),
+             (Geometry(h=500.0, x=800.0, z=-200.0), branches[3]),
+             (Geometry(h=500.0, x=800.0, z=100.0), branches[0])]
+    while len(cases) < 16:
+        branch = branches[rng.integers(4)]
+        depth = rng.uniform(10.0, 1000.0)
+        geom = Geometry(h=rng.uniform(50.0, 1000.0),
+                        x=rng.uniform(0.0, 3000.0),
+                        z=depth if branch is branches[0] else -depth)
+        if arrival_times(geom, branch, model.v_max).head_exists:
+            cases.append((geom, branch))
+    for geom, branch in cases:
+        arr = arrival_times(geom, branch, model.v_max)
+        assert arr.head_exists
+        slow = bisect_q_max(geom, branch, model.v_max)
+        assert abs(arr.q_max - slow) <= 1e-12 * slow
 
 
 def test_grid_oracle_rejects_coarse_scan(acoustic, poro):
