@@ -215,6 +215,10 @@ def load_config(cfg: dict) -> RunSetup:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                        for v in s_values):
         raise ConfigError("verify.s_values_per_s must be a list of numbers")
+    for v in s_values:
+        if not 0.0 < v <= sys.float_info.max:
+            raise ConfigError(f"verify.s_values_per_s entries must be finite "
+                              f"and positive, got {v!r}")
     verify_n = vf_sec.get("grid_n", 240)
     if not isinstance(verify_n, int) or verify_n < 8:
         raise ConfigError(f"verify.grid_n must be an integer >= 8, got {verify_n!r}")

@@ -9,8 +9,13 @@ representation over the real horizontal slownesses,
 
 with every vertical slowness real and positive, so there are no branch or
 pole issues on the integration domain.  Exploiting the parities in q_x and
-q_y folds this onto [0, Q]^2 with cosine or sine kernels and a purely real
-integrand.  Agreement of these values with Laplace transforms of the
+q_y folds this onto the quarter disc of radius Q with cosine or sine kernels
+and a purely real integrand.  The interface coefficients and depth phases
+depend on the slowness only through rho^2 = q_x^2 + q_y^2, so in polar
+coordinates (rho, phi) the systems are solved at the radial Gauss-Legendre
+nodes only, and the kernel, even about phi = 0 and phi = pi/2, is summed by
+the spectrally accurate midpoint rule in phi (Trefethen & Weideman, SIAM
+Rev. 2014).  Agreement of these values with Laplace transforms of the
 time-domain traces is the strongest end-to-end check the package has.
 
 Also here: the brute-force arrival-time oracle used to validate the
@@ -20,6 +25,7 @@ the head segment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,19 +45,22 @@ _EVEN, _ODD = "even", "odd"
 _FLUID_CHANNELS = ("xi_ref", "u_ref_x", "u_ref_z", "u_inc_z")
 _POROUS_CHANNELS = ("u_pf_x", "u_pf_z", "u_ps_x", "u_ps_z", "u_s_x", "u_s_z")
 
-# Grid solutions keyed on the frozen media values and the grid, so that
-# equal media share an entry and no entry outlives what it was computed for.
-_SOLVE_CACHE: dict = {}
+
+@functools.lru_cache
+def _leggauss(n: int):
+    # Cached: leggauss(480) costs tens of ms.  numpy.polynomial is looked up
+    # here, not at import, so runs that never call the oracle never load it.
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True)
 class LaplaceProbe:
     """One oracle evaluation point.
 
-    q_width is the half width Q of the folded integration square; the
-    integrand must have decayed below 1e-9 of its peak at the far edges,
-    which laplace_reference enforces.  n is the one-axis Gauss-Legendre
-    order before the convergence doubling.
+    q_width is the rim radius Q of the folded quarter disc; the integrand
+    must have decayed below 1e-9 of its peak at the rim, which
+    laplace_reference enforces.  n is the radial Gauss-Legendre order and
+    the angular midpoint order before the convergence doubling.
     """
 
     s: float          # Laplace parameter, 1/s
@@ -70,68 +79,62 @@ class LaplaceProbe:
 
 def default_probe(model: HalfspaceModel, receiver: Receiver, s: float,
                   n: int = 240, channel: str | None = None) -> LaplaceProbe:
-    """Probe with a decay-based q_width for the given receiver side."""
-    h = model.source_height
-    if channel in ("u_inc_z",):
-        depth = abs(receiver.z - h)
-    elif receiver.z > 0.0:
-        depth = receiver.z + h
+    """Probe with a decay-based q_width for the given receiver side.
+
+    t_v is the vertical one-way time through the slowest wave on the
+    receiver's side.  Since sqrt(1/v^2 + rho^2) >= rho, the depth phase of
+    every branch then rises by at least 46/s from the axis to the rim.
+    """
+    h, z = model.source_height, receiver.z
+    v_plus = model.acoustic.v_plus
+    if channel == "u_inc_z":
+        depth = abs(z - h)
+        t_v = depth / v_plus
+    elif z > 0.0:
+        depth = z + h
+        t_v = depth / v_plus
     else:
-        depth = h - receiver.z
-    q_width = 46.0 / (s * depth)
+        pd = model.poro
+        depth = h - z
+        t_v = h / v_plus - z / min(pd.v_pf, pd.v_ps, pd.v_s)
+    q_width = (46.0 / s + t_v) / depth
     return LaplaceProbe(s=s, receiver=receiver, q_width=q_width, n=n)
 
 
 def _gauss_nodes(q_width: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     return 0.5 * q_width * (x + 1.0), 0.5 * q_width * w
 
 
 def _grid_solution(model: HalfspaceModel, q_width: float, n: int):
-    """Interface coefficients on the folded tensor grid, cached.
+    """Interface coefficients at the n radial nodes of the quarter disc.
 
-    Returns flattened qx, qy, the four vertical slownesses and the real
-    coefficient matrix (m, 4).  Imaginary residues of the solve beyond
-    1e-10 of the coefficient scale abort with RealnessError, since real
-    slownesses must give real systems.
+    Returns the radial nodes rho and their Gauss-Legendre weights (without
+    the polar Jacobian), the four vertical slownesses and the real
+    coefficient matrix (n, 4), from one batched solve of n systems.
+    Imaginary residues of the solve beyond 1e-10 of the coefficient scale
+    abort with RealnessError, since real slownesses must give real systems.
     """
-    key = (model.acoustic, model.poro.params, q_width, n)
-    if key in _SOLVE_CACHE:
-        return _SOLVE_CACHE[key]
-    qx1, wx = _gauss_nodes(q_width, n)
-    qy1, wy = _gauss_nodes(q_width, n)
-    qx = np.repeat(qx1, n)
-    qy = np.tile(qy1, n)
-    weight = np.repeat(wx, n) * np.tile(wy, n)
-
+    rho, weight = _gauss_nodes(q_width, n)
     ac, pd = model.acoustic, model.poro
-    qq = qx * qx + qy * qy
+    qq = rho * rho
     ka = np.sqrt(1.0 / ac.v_plus ** 2 + qq)
     kpf = np.sqrt(1.0 / pd.v_pf ** 2 + qq)
     kps = np.sqrt(1.0 / pd.v_ps ** 2 + qq)
     ks = np.sqrt(1.0 / pd.v_s ** 2 + qq)
-
-    coef = np.empty((qq.size, 4), dtype=complex)
-    chunk = 40000
-    for start in range(0, qq.size, chunk):
-        sl = slice(start, min(start + chunk, qq.size))
-        a, b = _assemble_batch(ac, pd, qq[sl], ka[sl], kpf[sl], kps[sl], ks[sl])
-        coef[sl] = _solve_batch(a, b, qx[sl], qy[sl])
+    a, b = _assemble_batch(ac, pd, qq, ka, kpf, kps, ks)
+    coef = _solve_batch(a, b, rho, 0.0)
     scale = float(np.max(np.abs(coef.real)))
     residue = float(np.max(np.abs(coef.imag)))
     if residue > 1e-10 * scale:
         raise RealnessError(
             f"interface coefficients on the real slowness grid carry an "
             f"imaginary residue of {residue:.3e} against scale {scale:.3e}")
-    out = (qx, qy, weight, ka, kpf, kps, ks, coef.real)
-    if len(_SOLVE_CACHE) > 6:
-        _SOLVE_CACHE.pop(next(iter(_SOLVE_CACHE)))
-    _SOLVE_CACHE[key] = out
-    return out
+    return rho, weight, ka, kpf, kps, ks, coef.real
 
 
 def _channel_parts(model: HalfspaceModel, receiver: Receiver, channel: str,
-                   qx, qy, ka, kpf, kps, ks, coef):
+                   rho, ka, kpf, kps, ks, coef):
     """Density weight, parity and depth phase of one channel."""
     ac, pd = model.acoustic, model.poro
     h = model.source_height
@@ -165,7 +168,7 @@ def _channel_parts(model: HalfspaceModel, receiver: Receiver, channel: str,
         "u_ps_x": (-p[0, 1] * t_ps, _ODD, depth_ps),
         "u_ps_z": (p[0, 1] * kps * t_ps, _EVEN, depth_ps),
         "u_s_x": (-ks * t_s, _ODD, depth_s),
-        "u_s_z": ((qx * qx + qy * qy) * t_s, _EVEN, depth_s),
+        "u_s_z": (rho * rho * t_s, _EVEN, depth_s),
     }
     return table[channel]
 
@@ -177,46 +180,40 @@ def _integrate(model: HalfspaceModel, receiver: Receiver, channel: str,
         # solve; its window is much wider than the coefficient channels can
         # tolerate (the four columns degenerate at slownesses far beyond
         # every branch point).
-        qx1, wx = _gauss_nodes(q_width, n)
-        qx = np.repeat(qx1, n)
-        qy = np.tile(qx1, n)
-        weight = np.repeat(wx, n) * np.tile(wx, n)
-        ka = np.sqrt(1.0 / model.acoustic.v_plus ** 2 + qx * qx + qy * qy)
+        rho, weight = _gauss_nodes(q_width, n)
+        ka = np.sqrt(1.0 / model.acoustic.v_plus ** 2 + rho * rho)
         kpf = kps = ks = coef = None
     else:
-        qx, qy, weight, ka, kpf, kps, ks, coef = _grid_solution(model,
-                                                                q_width, n)
+        rho, weight, ka, kpf, kps, ks, coef = _grid_solution(model,
+                                                             q_width, n)
     dens, parity, depth = _channel_parts(model, receiver, channel,
-                                         qx, qy, ka, kpf, kps, ks, coef)
+                                         rho, ka, kpf, kps, ks, coef)
+    radial = dens * np.exp(-s * depth)
+    # Envelope of the integrand over phi, free of oscillation zeros, for the
+    # decay check at the rim (the last radial node).
+    env = np.abs(radial) * (rho if parity == _ODD else 1.0)
+    peak = float(np.max(env))
+    if peak > 0.0 and env[-1] > 1e-9 * peak:
+        raise ValueError(
+            f"q_width={q_width} too small: integrand at the rim is "
+            f"{env[-1] / peak:.3e} of its peak")
+    # Midpoint rule in phi on (0, pi/2); the sum carries its weight pi/(2n).
+    qx = np.outer(rho, np.cos((np.arange(n) + 0.5) * (0.5 * math.pi / n)))
     off = math.hypot(receiver.x, receiver.y)
     osc = np.cos(s * qx * off) if parity == _EVEN else qx * np.sin(s * qx * off)
-    integrand = dens * np.exp(-s * depth) * osc
-    # Envelope of the integrand, free of oscillation zeros, for the decay check.
-    env = np.abs(dens) * np.exp(-s * depth)
-    if parity == _ODD:
-        env = env * np.abs(qx)
-    peak = float(np.max(env))
-    edge = max(float(np.max(env[qx == qx.max()])),
-               float(np.max(env[qy == qy.max()])))
-    if peak > 0.0 and edge > 1e-9 * peak:
-        raise ValueError(
-            f"q_width={q_width} too small: integrand at the far edge is "
-            f"{edge / peak:.3e} of its peak")
-    return float(np.sum(weight * integrand)) / math.pi ** 2
+    angular = osc.sum(axis=1) * (0.5 * math.pi / n)
+    return float(np.sum(weight * rho * radial * angular)) / math.pi ** 2
 
 
 def laplace_reference(probe: LaplaceProbe, model: HalfspaceModel,
-                      channel: str, check_convergence: bool = True) -> float:
+                      channel: str) -> float:
     """Oracle value of one channel at one real Laplace parameter.
 
-    With check_convergence the grid order is doubled and the two values must
-    agree to 1e-4 relative, otherwise NotConverged; the doubled value is
-    returned.
+    The order is doubled and the two values must agree to 1e-4 relative,
+    otherwise NotConverged; the doubled value is returned.
     """
     coarse = _integrate(model, probe.receiver, channel, probe.s,
                         probe.q_width, probe.n)
-    if not check_convergence:
-        return coarse
     fine = _integrate(model, probe.receiver, channel, probe.s,
                       probe.q_width, 2 * probe.n)
     scale = max(abs(fine), abs(coarse))

@@ -46,6 +46,8 @@ def test_fixture_command_prints_loadable_config(capsys):
     (lambda c: c["quadrature"].update(n=2), "quadrature.n"),
     (lambda c: c["output"].update(format="hdf5"), "format"),
     (lambda c: c["poroelastic"].update(phi=1.4), "porosity"),
+    (lambda c: c["verify"].update(s_values_per_s=[0]), "positive, got 0"),
+    (lambda c: c["verify"].update(s_values_per_s=[-5]), "positive, got -5"),
 ])
 def test_config_rejections(mutate, fragment):
     cfg = fixture_config()

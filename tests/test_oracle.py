@@ -1,15 +1,19 @@
 """The Laplace-domain reference integrals and the brute-force arrival oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from poroseis import oracle
 from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, arrival_times,
                                fictitious_arrival, reflected_branch,
                                transmitted_branches)
+from poroseis.coefficients import _assemble_batch, _solve_batch
 from poroseis.errors import DomainError, NotConverged
-from poroseis.green import Receiver, incident_trace
+from poroseis.green import HalfspaceModel, Receiver, incident_trace
+from poroseis.media import derive_poroelastic
 from poroseis.oracle import (LaplaceProbe, bisect_q_max, default_probe,
                              grid_min_arrival,
                              incident_pressure_transform, laplace_of_trace,
@@ -186,27 +190,67 @@ def test_grid_oracle_rejects_coarse_scan(acoustic, poro):
                          n=5000)
 
 
-def test_grid_cache_is_keyed_on_media_values(acoustic, poro_params,
-                                             monkeypatch):
-    """Equal media share a grid solution; different media never do."""
-    from dataclasses import replace
+def _cartesian_value(model, receiver, channel, s, q_width, n):
+    """The folded integral on the n x n Gauss-Legendre tensor grid of [0, Q]^2."""
+    q1, w1 = oracle._gauss_nodes(q_width, n)
+    qx, qy = np.repeat(q1, n), np.tile(q1, n)
+    weight = np.repeat(w1, n) * np.tile(w1, n)
+    rho = np.hypot(qx, qy)
+    ac, pd = model.acoustic, model.poro
+    ks = [np.sqrt(1.0 / v ** 2 + rho * rho)
+          for v in (ac.v_plus, pd.v_pf, pd.v_ps, pd.v_s)]
+    coef = _solve_batch(*_assemble_batch(ac, pd, rho * rho, *ks), qx, qy).real
+    dens, parity, depth = oracle._channel_parts(model, receiver, channel,
+                                                rho, *ks, coef)
+    off = math.hypot(receiver.x, receiver.y)
+    osc = np.cos(s * qx * off) if parity == oracle._EVEN \
+        else qx * np.sin(s * qx * off)
+    return float(np.sum(weight * dens * np.exp(-s * depth) * osc)) / math.pi ** 2
 
-    from poroseis import oracle
-    from poroseis.green import HalfspaceModel
-    from poroseis.media import AcousticMedium, derive_poroelastic
 
-    monkeypatch.setattr(oracle, "_SOLVE_CACHE", {})
-    first = HalfspaceModel(acoustic, derive_poroelastic(poro_params), 500.0)
-    twin = HalfspaceModel(AcousticMedium(rho_plus=acoustic.rho_plus,
-                                         v_plus=acoustic.v_plus),
-                          derive_poroelastic(replace(poro_params)), 300.0)
-    stiffer = HalfspaceModel(acoustic, derive_poroelastic(
-        replace(poro_params, mu=1.1 * poro_params.mu)), 500.0)
-    q_width, n = 1e-3, 8
+@pytest.mark.parametrize("channel, s, side", [("xi_ref", 20.0, "fluid"),
+                                              ("u_s_x", 40.0, "porous")])
+def test_polar_rule_matches_cartesian_grid(model, fluid_receiver,
+                                           porous_receiver, channel, s, side):
+    """Radial Gauss-Legendre times angular midpoint reproduces the tensor
+    grid over the quarter square at the same order."""
+    receiver = fluid_receiver if side == "fluid" else porous_receiver
+    probe = default_probe(model, receiver, s, n=240)
+    polar = oracle._integrate(model, receiver, channel, s, probe.q_width, 240)
+    square = _cartesian_value(model, receiver, channel, s, probe.q_width, 240)
+    assert polar == pytest.approx(square, rel=1e-8)
 
-    base = oracle._grid_solution(first, q_width, n)
-    assert oracle._grid_solution(twin, q_width, n) is base
-    other = oracle._grid_solution(stiffer, q_width, n)
-    assert other is not base
-    assert not np.array_equal(other[-1], base[-1])
-    assert len(oracle._SOLVE_CACHE) == 2
+
+def test_grid_solution_solves_one_system_per_radial_node(model,
+                                                         porous_receiver,
+                                                         monkeypatch):
+    sizes = []
+
+    def spy(a, b, q_x, q_y):
+        sizes.append(len(a))
+        return _solve_batch(a, b, q_x, q_y)
+
+    monkeypatch.setattr(oracle, "_solve_batch", spy)
+    for n in (8, 240):
+        sizes.clear()
+        oracle._grid_solution(model, 1e-3, n)
+        assert sizes == [n]
+    sizes.clear()
+    probe = default_probe(model, porous_receiver, 20.0, n=64)
+    laplace_reference(probe, model, "u_pf_z")
+    assert sizes == [64, 128]
+
+
+def test_default_probe_covers_the_slowest_wave(acoustic, poro_params,
+                                               porous_receiver):
+    """q_width follows the slowest wave on the receiver's side: with shear at
+    about 641 m/s the shear channels decay at the rim at s = 40 and agree
+    with a wider, finer disc."""
+    model = HalfspaceModel(acoustic, derive_poroelastic(
+        replace(poro_params, mu=0.7e9)), 500.0)
+    probe = default_probe(model, porous_receiver, 40.0)
+    wide = replace(probe, q_width=1.5 * probe.q_width, n=2 * probe.n)
+    for channel in ("u_s_x", "u_s_z"):
+        got = laplace_reference(probe, model, channel)
+        assert got == pytest.approx(laplace_reference(wide, model, channel),
+                                    rel=1e-9)
