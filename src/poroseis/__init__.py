@@ -15,7 +15,7 @@ from .cagniard import (ArrivalTimes, ContourPoint, Geometry, WaveBranch,
 from .coefficients import InterfaceCoefficients, assemble_system, solve_coefficients
 from .errors import (ConvergenceFailure, DomainError, GridTooCoarse,
                      InvariantViolation, NonFiniteIntegrand, NonPhysical,
-                     NotConverged, PoroseisError, RealnessError, SingularSystem)
+                     NotConverged, PoroseisError, SingularSystem)
 from .green import (GreenTrace, HalfspaceModel, QuadratureConfig, Receiver,
                     green_trace, incident_trace, quadrature, reflected_trace,
                     rotate_to_3d, transmitted_trace)

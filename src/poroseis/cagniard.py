@@ -151,15 +151,42 @@ def snell_time(xi, q, geom: Geometry, branch: WaveBranch):
     return t
 
 
+def _bracketed_newton(func, x, lo, hi, tol, max_iter):
+    """Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4), vectorized.
+
+    func(x_sub, idx) returns value and slope of an increasing function at
+    the points idx; only points with |value| > tol[idx] iterate.  The sign
+    of the value keeps the bracket (lo, hi), and a step leaving it (which
+    covers non-finite steps and non-positive slopes) bisects instead.
+    x, lo and hi are updated in place; x is returned and the caller judges it.
+    """
+    idx = np.arange(x.size)
+    for _ in range(max_iter):
+        f, df = func(x[idx], idx)
+        live = np.abs(f) > tol[idx]
+        if not np.any(live):
+            break
+        idx, f, df = idx[live], f[live], df[live]
+        xs = x[idx]
+        lo_i = np.where(f < 0.0, xs, lo[idx])
+        hi_i = np.where(f > 0.0, xs, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = xs - f / df
+        inside = (cand > lo_i) & (cand < hi_i)
+        x[idx] = np.where(inside, cand, 0.5 * (lo_i + hi_i))
+        lo[idx] = lo_i
+        hi[idx] = hi_i
+    return x
+
+
 def _xi_zero(q, geom: Geometry, branch: WaveBranch, start=None):
     """Interface crossing of the fastest broken ray.
 
     The one-way time is strictly convex in xi, so its slope has exactly one
-    root in [0, x].  Newton steps on the slope (whose derivative is the
-    positive curvature) run inside a bracket kept by the slope's sign, and a
-    step leaving the bracket is replaced by bisection.  start is the first
-    iterate, e.g. the crossing at a nearby q; by default the crossing of
-    the straight source-receiver line.
+    root in [0, x], found by _bracketed_newton on the slope (whose
+    derivative is the positive curvature).  start is the first iterate,
+    e.g. the crossing at a nearby q; by default the crossing of the
+    straight source-receiver line.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if geom.x == 0.0:
@@ -173,29 +200,17 @@ def _xi_zero(q, geom: Geometry, branch: WaveBranch, start=None):
         xi = np.full_like(q, x * h / (h + d))
     else:
         xi = np.clip(np.broadcast_to(start, shape).ravel(), 0.0, x)
-    lo = np.zeros_like(q)
-    hi = np.full_like(q, x)
-    tol = _XI_SLOPE_ULPS * np.finfo(float).eps * (1.0 / va + 1.0 / vb)
 
-    idx = np.arange(q.size)
-    for _ in range(_XI_MAX_ITER):
-        xs, ia, ib = xi[idx], va[idx], vb[idx]
+    def slope(xs, idx):
+        ia, ib = va[idx], vb[idx]
         la = np.hypot(xs, h)
         lb = np.hypot(x - xs, d)
         g = xs / (ia * la) - (x - xs) / (ib * lb)
-        live = np.abs(g) > tol[idx]
-        if not np.any(live):
-            break
-        idx, xs, ia, ib, la, lb, g = (a[live] for a in (idx, xs, ia, ib,
-                                                         la, lb, g))
-        lo_i = np.where(g < 0.0, xs, lo[idx])
-        hi_i = np.where(g > 0.0, xs, hi[idx])
-        curv = h * h / (ia * la ** 3) + d * d / (ib * lb ** 3)
-        cand = xs - g / curv
-        inside = (cand > lo_i) & (cand < hi_i)
-        xi[idx] = np.where(inside, cand, 0.5 * (lo_i + hi_i))
-        lo[idx] = lo_i
-        hi[idx] = hi_i
+        return g, h * h / (ia * la ** 3) + d * d / (ib * lb ** 3)
+
+    tol = _XI_SLOPE_ULPS * np.finfo(float).eps * (1.0 / va + 1.0 / vb)
+    _bracketed_newton(slope, xi, np.zeros_like(q), np.full_like(q, x), tol,
+                      _XI_MAX_ITER)
     return xi.reshape(shape)
 
 
@@ -237,11 +252,16 @@ def fictitious_arrival(q: float, geom: Geometry, branch: WaveBranch) -> float:
     return float(_t0_vec(np.array([q], dtype=float), geom, branch)[0])
 
 
+def _critical_slownesses(branch: WaveBranch, v_max: float):
+    """Vertical slownesses (c1, c2) of the critical ray above and below."""
+    return (math.sqrt(max(1.0 / branch.v_top ** 2 - 1.0 / v_max ** 2, 0.0)),
+            math.sqrt(max(1.0 / branch.v_bottom ** 2 - 1.0 / v_max ** 2, 0.0)))
+
+
 def _head_time(q, geom: Geometry, branch: WaveBranch, v_max: float):
     """Onset time of the head segment at transverse slowness q."""
     d_top, d_bot = _depths(geom, branch)
-    c1 = math.sqrt(max(1.0 / branch.v_top ** 2 - 1.0 / v_max ** 2, 0.0))
-    c2 = math.sqrt(max(1.0 / branch.v_bottom ** 2 - 1.0 / v_max ** 2, 0.0))
+    c1, c2 = _critical_slownesses(branch, v_max)
     q = np.asarray(q, dtype=float)
     return d_top * c1 + d_bot * c2 + geom.x * np.sqrt(1.0 / v_max ** 2 + q * q)
 
@@ -265,8 +285,7 @@ def arrival_times(geom: Geometry, branch: WaveBranch, v_max: float) -> ArrivalTi
         return ArrivalTimes(t0=t0, head_exists=False,
                             t_h1=nan, t_h2=nan, q_max=nan)
 
-    c1 = math.sqrt(1.0 / branch.v_top ** 2 - 1.0 / v_max ** 2)
-    c2 = math.sqrt(max(1.0 / branch.v_bottom ** 2 - 1.0 / v_max ** 2, 0.0))
+    c1, c2 = _critical_slownesses(branch, v_max)
     t_h1 = float(_head_time(0.0, geom, branch, v_max))
 
     # Critical-ray geometry: the head segment dies where the stationary ray
@@ -317,40 +336,24 @@ def _q0_vec(t, geom: Geometry, branch: WaveBranch):
         raise ConvergenceFailure(float(t.max()), hi_val, branch.kind.value,
                                  "volume-window inversion found no upper bracket")
 
-    # Newton on the arrival time, kept inside a shrinking bracket; the
-    # arrival is increasing and convex in q, so steps from above converge
-    # monotonically once the bracket is tight.  Only unconverged times
-    # iterate, each warm-starting its crossing from its previous iterate.
-    # The crossing point is stationary in xi, so the arrival slope in q
-    # needs no xi derivative.
-    lo = np.zeros_like(t)
-    hi = np.full_like(t, hi_val)
-    q0 = 0.5 * (lo + hi)
-    xi = _xi_zero(q0, geom, branch)
-    tol = 1e-12 * np.maximum(t, 1e-300)
-    idx = np.arange(t.size)
-    for _ in range(80):
-        q, xs = q0[idx], xi[idx]
+    # _bracketed_newton on t0(q) - t from the midpoint of (0, hi_val).  Each
+    # evaluation warm-starts its crossing from the previous one at the same
+    # t; the crossing is stationary, so the slope in q needs no xi term.
+    h, d = geom.h, abs(geom.z)
+    xi = np.full_like(t, geom.x * h / (h + d))
+
+    def excess(q, idx):
+        xs = xi[idx] = _xi_zero(q, geom, branch, start=xi[idx])
         sa = np.sqrt(1.0 / branch.v_top ** 2 + q * q)
         sb = np.sqrt(1.0 / branch.v_bottom ** 2 + q * q)
-        la = np.hypot(xs, geom.h)
-        lb = np.hypot(geom.x - xs, abs(geom.z))
-        f = la * sa + lb * sb - t[idx]
-        df = q * (la / sa + lb / sb)
-        live = np.abs(f) > tol[idx]
-        if not np.any(live):
-            break
-        idx, q, f, df = idx[live], q[live], f[live], df[live]
-        lo_i = np.where(f < 0.0, q, lo[idx])
-        hi_i = np.where(f > 0.0, q, hi[idx])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(df > 0.0, f / np.maximum(df, 1e-300), 0.0)
-        cand = q - step
-        inside = (cand > lo_i) & (cand < hi_i) & np.isfinite(cand)
-        q0[idx] = np.where(inside, cand, 0.5 * (lo_i + hi_i))
-        lo[idx] = lo_i
-        hi[idx] = hi_i
-        xi[idx] = _xi_zero(q0[idx], geom, branch, start=xi[idx])
+        la = np.hypot(xs, h)
+        lb = np.hypot(geom.x - xs, d)
+        return la * sa + lb * sb - t[idx], q * (la / sa + lb / sb)
+
+    q0 = _bracketed_newton(excess, np.full_like(t, 0.5 * hi_val),
+                           np.zeros_like(t), np.full_like(t, hi_val),
+                           1e-12 * np.maximum(t, 1e-300), 80)
+    xi = _xi_zero(q0, geom, branch, start=xi)
     resid = np.abs(_t0_vec(q0, geom, branch, xi) - t)
     if np.any(resid > 1e-9 * np.maximum(t, 1e-300)):
         i = int(np.argmax(resid))
@@ -367,8 +370,7 @@ def q1_of_t(t, geom: Geometry, branch: WaveBranch, v_max: float):
     d_top, d_bot = _depths(geom, branch)
     if geom.x < _MIN_HEAD_OFFSET * (d_top + d_bot):
         raise DomainError("no head segment at (near) zero offset")
-    c1 = math.sqrt(max(1.0 / branch.v_top ** 2 - 1.0 / v_max ** 2, 0.0))
-    c2 = math.sqrt(max(1.0 / branch.v_bottom ** 2 - 1.0 / v_max ** 2, 0.0))
+    c1, c2 = _critical_slownesses(branch, v_max)
     t_arr = np.asarray(t, dtype=float)
     lead = t_arr - d_top * c1 - d_bot * c2
     rad = (lead / geom.x) ** 2 - 1.0 / v_max ** 2
@@ -631,8 +633,8 @@ def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float,
     """Head-segment points for one time t and an array of q.
 
     Solves T(-i*zeta) = t for real zeta between the fastest branch point
-    and the saddle slowness, where T is real and strictly increasing.
-    Newton with a bisection safeguard; the time derivative is -i/T'(zeta),
+    and the saddle slowness, where T is real and strictly increasing, with
+    _bracketed_newton from the midpoint; the time derivative is -i/T'(zeta),
     whose negative imaginary part is asserted.  xi0 is the stationary
     crossing at q when already known (see _gamma_vec).
     """
@@ -657,31 +659,11 @@ def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float,
         pb = np.sqrt(np.maximum(sb2[i] - zeta * zeta, 1e-300))
         return x - d_top * zeta / pa - d_bot * zeta / pb
 
-    lo = tip.copy()
-    hi = p0.copy()
-    zeta = 0.5 * (lo + hi)
     tol = _UPSILON_TOL * (1.0 + abs(t))
-    f = t_of(zeta) - t
-    # Only the points still above the residual target iterate.
-    idx = np.flatnonzero(np.abs(f) > tol)
-    for _ in range(100):
-        if idx.size == 0:
-            break
-        z, f_i = zeta[idx], f[idx]
-        lo_i = np.where(f_i < 0.0, z, lo[idx])
-        hi_i = np.where(f_i > 0.0, z, hi[idx])
-        slope = t_slope(z, idx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            znew = z - f_i / slope
-        inside = (znew > lo_i) & (znew < hi_i) & (slope > 0.0)
-        z = np.where(inside, znew, 0.5 * (lo_i + hi_i))
-        zeta[idx] = z
-        lo[idx] = lo_i
-        hi[idx] = hi_i
-        f[idx] = t_of(z, idx) - t
-        idx = idx[np.abs(f[idx]) > tol]
-
-    resid = np.abs(f)
+    zeta = _bracketed_newton(lambda z, i: (t_of(z, i) - t, t_slope(z, i)),
+                             0.5 * (tip + p0), tip, p0, np.full_like(q, tol),
+                             100)
+    resid = np.abs(t_of(zeta) - t)
     if np.any(resid > tol):
         i = int(np.argmax(resid > tol))
         raise ConvergenceFailure(t, float(q[i]), branch.kind.value,

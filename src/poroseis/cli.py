@@ -111,10 +111,20 @@ def _num(sec: dict, section: str, key: str, default=None) -> float:
         if default is not None:
             return default
         raise ConfigError(f"missing key {key!r} in section {section!r}")
-    val = sec[key]
+    return _finite(sec[key], f"{section}.{key}")
+
+
+def _finite(val, name: str) -> float:
+    """val as a float; anything but a finite JSON number is a ConfigError."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {val!r}")
-    return float(val)
+        raise ConfigError(f"{name} must be a number, got {val!r}")
+    try:
+        out = float(val)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be a finite number, got {out}")
+    return out
 
 
 def load_config(cfg: dict) -> RunSetup:
@@ -169,11 +179,9 @@ def load_config(cfg: dict) -> RunSetup:
         raise ConfigError("receivers must be a non-empty list of [x, y, z]")
     receivers = []
     for i, entry in enumerate(cfg["receivers"]):
-        if not isinstance(entry, list) or len(entry) != 3 \
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in entry):
+        if not isinstance(entry, list) or len(entry) != 3:
             raise ConfigError(f"receiver {i} must be [x, y, z] in metres")
-        x, y, z = (float(v) for v in entry)
+        x, y, z = (_finite(v, f"receiver {i} coordinate") for v in entry)
         if abs(z) <= 1e-6:
             raise ConfigError(
                 f"receiver {i} sits on the interface (|z| <= 1e-6 m)")
@@ -211,14 +219,13 @@ def load_config(cfg: dict) -> RunSetup:
     vf_sec = _section(cfg, "verify", {"s_values_per_s", "grid_n"}) \
         if "verify" in cfg else {}
     s_values = vf_sec.get("s_values_per_s", [])
-    if not isinstance(s_values, list) \
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in s_values):
+    if not isinstance(s_values, list):
         raise ConfigError("verify.s_values_per_s must be a list of numbers")
+    s_values = [_finite(v, "verify.s_values_per_s entry") for v in s_values]
     for v in s_values:
-        if not 0.0 < v <= sys.float_info.max:
-            raise ConfigError(f"verify.s_values_per_s entries must be finite "
-                              f"and positive, got {v!r}")
+        if not v > 0.0:
+            raise ConfigError(f"verify.s_values_per_s entries must be "
+                              f"positive, got {v!r}")
     verify_n = vf_sec.get("grid_n", 240)
     if not isinstance(verify_n, int) or verify_n < 8:
         raise ConfigError(f"verify.grid_n must be an integer >= 8, got {verify_n!r}")
@@ -229,7 +236,7 @@ def load_config(cfg: dict) -> RunSetup:
         receivers=receivers, t_end=t_end, dt=dt,
         quad=QuadratureConfig(n=n, sin_substitution=sin_sub),
         out_dir=Path(directory), out_format=out_format, emit_green=emit_green,
-        verify_s=[float(v) for v in s_values], verify_n=verify_n,
+        verify_s=s_values, verify_n=verify_n,
     )
 
 
@@ -239,7 +246,7 @@ def _load_config_file(path: str) -> RunSetup:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return load_config(cfg)
 

@@ -73,6 +73,7 @@ def _assemble_batch(acoustic, poro, qq, k_plus, k_pf, k_ps, k_s):
     The vertical slownesses are passed in rather than recomputed so that the
     caller controls the branch (deformed contours evaluate them on a specific
     rim of the cut).  Their squares are branch-free and are rebuilt from qq.
+    Real inputs give real systems.
     """
     p11, p12 = poro.p_mat[0, 0], poro.p_mat[0, 1]
     p21, p22 = poro.p_mat[1, 0], poro.p_mat[1, 1]
@@ -84,7 +85,7 @@ def _assemble_batch(acoustic, poro, qq, k_plus, k_pf, k_ps, k_s):
     rho_f = poro.params.rho_f
 
     qq = np.asarray(qq)
-    dtype = np.result_type(qq, k_plus, k_pf, k_ps, k_s, np.complex128)
+    dtype = np.result_type(qq, k_plus, k_pf, k_ps, k_s)
     n = qq.shape[0]
     a = np.zeros((n, 4, 4), dtype=dtype)
     b = np.zeros((n, 4), dtype=dtype)

@@ -71,9 +71,5 @@ class NotConverged(PoroseisError):
     """A reference (oracle) computation failed its self-convergence check."""
 
 
-class RealnessError(PoroseisError):
-    """A quantity that must be real carried a non-negligible imaginary part."""
-
-
 class InvariantViolation(PoroseisError):
     """A result breaks a property the computation guarantees by construction."""

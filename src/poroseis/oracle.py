@@ -33,7 +33,7 @@ import numpy as np
 
 from .cagniard import Geometry, WaveBranch, _p0_vec, snell_time
 from .coefficients import _assemble_batch, _solve_batch
-from .errors import DomainError, NotConverged, RealnessError
+from .errors import DomainError, NotConverged
 from .green import HalfspaceModel, Receiver
 
 # Channels integrable by laplace_reference, keyed by name.  Parity refers to
@@ -111,9 +111,7 @@ def _grid_solution(model: HalfspaceModel, q_width: float, n: int):
 
     Returns the radial nodes rho and their Gauss-Legendre weights (without
     the polar Jacobian), the four vertical slownesses and the real
-    coefficient matrix (n, 4), from one batched solve of n systems.
-    Imaginary residues of the solve beyond 1e-10 of the coefficient scale
-    abort with RealnessError, since real slownesses must give real systems.
+    coefficient matrix (n, 4), from one batched solve of n real systems.
     """
     rho, weight = _gauss_nodes(q_width, n)
     ac, pd = model.acoustic, model.poro
@@ -123,14 +121,7 @@ def _grid_solution(model: HalfspaceModel, q_width: float, n: int):
     kps = np.sqrt(1.0 / pd.v_ps ** 2 + qq)
     ks = np.sqrt(1.0 / pd.v_s ** 2 + qq)
     a, b = _assemble_batch(ac, pd, qq, ka, kpf, kps, ks)
-    coef = _solve_batch(a, b, rho, 0.0)
-    scale = float(np.max(np.abs(coef.real)))
-    residue = float(np.max(np.abs(coef.imag)))
-    if residue > 1e-10 * scale:
-        raise RealnessError(
-            f"interface coefficients on the real slowness grid carry an "
-            f"imaginary residue of {residue:.3e} against scale {scale:.3e}")
-    return rho, weight, ka, kpf, kps, ks, coef.real
+    return rho, weight, ka, kpf, kps, ks, _solve_batch(a, b, rho, 0.0)
 
 
 def _channel_parts(model: HalfspaceModel, receiver: Receiver, channel: str,

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, arrival_times,
-                               fictitious_arrival, gamma, head_window,
+from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, _bracketed_newton,
+                               arrival_times, fictitious_arrival, gamma, head_window,
                                phase_time, q0_of_t, q1_of_t,
                                reflected_branch, snell_time,
                                transmitted_branches, upsilon, volume_window)
@@ -278,3 +278,31 @@ def test_q1_rejects_zero_offset(branches, model):
     geom = Geometry(h=500.0, x=0.0, z=-300.0)
     with pytest.raises(DomainError):
         q1_of_t(0.5, geom, branches[WaveKind.TRANSMITTED_PS], model.v_max)
+
+
+def _arctan(x, idx):
+    return np.arctan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)
+
+
+def test_bracketed_newton_converges_where_newton_diverges():
+    x = 5.0
+    for _ in range(5):  # plain Newton overshoots further at every step
+        x -= _arctan(x, None)[0] / _arctan(x, None)[1]
+    assert abs(x - 0.3) > 1e3
+    root = _bracketed_newton(_arctan, np.array([5.0]), np.array([-10.0]),
+                             np.array([10.0]), np.array([1e-14]), 60)
+    assert abs(root[0] - 0.3) <= 1e-12
+
+
+def test_bracketed_newton_evaluates_only_live_points():
+    seen = []
+
+    def func(x, idx):
+        seen.append(idx.copy())
+        return _arctan(x, idx)
+
+    _bracketed_newton(func, np.full(3, 5.0), np.full(3, -10.0),
+                      np.full(3, 10.0), np.array([1e-14, 10.0, 1e-14]), 60)
+    assert len(seen) > 2
+    assert list(seen[0]) == [0, 1, 2]
+    assert all(1 not in idx for idx in seen[1:])

@@ -48,12 +48,26 @@ def test_fixture_command_prints_loadable_config(capsys):
     (lambda c: c["poroelastic"].update(phi=1.4), "porosity"),
     (lambda c: c["verify"].update(s_values_per_s=[0]), "positive, got 0"),
     (lambda c: c["verify"].update(s_values_per_s=[-5]), "positive, got -5"),
+    (lambda c: c["acoustic"].update(v_m_s=10 ** 400), "v_m_s is too large"),
+    (lambda c: c["receivers"].__setitem__(0, [float("nan"), 0.0, -533.0]),
+     "receiver 0 coordinate must be a finite number, got nan"),
+    (lambda c: c["source"].update(height_m=float("inf")),
+     "height_m must be a finite number"),
+    (lambda c: c["time"].update(t_end_s=float("inf")),
+     "t_end_s must be a finite number"),
+    (lambda c: c["receivers"].__setitem__(0, [float("inf"), 0.0, 533.0]),
+     "receiver 0 coordinate must be a finite number, got inf"),
 ])
-def test_config_rejections(mutate, fragment):
+def test_config_rejections(mutate, fragment, tmp_path):
     cfg = fixture_config()
     mutate(cfg)
     with pytest.raises(ConfigError, match=fragment):
         load_config(cfg)
+    # The same file through the command line, where JSON spells non-finite
+    # numbers NaN and Infinity, is a configuration error too.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["compute", "--config", str(path)]) == 2
 
 
 def test_number_fields_reject_booleans():
@@ -70,6 +84,9 @@ def test_main_flags_broken_config_file(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
     assert main(["compute", "--config", str(tmp_path / "absent.json")]) == 2
+
+    path.write_text("[" + "1" * 5000 + "]")  # past Python's digit limit
+    assert main(["compute", "--config", str(path)]) == 2
 
 
 def test_main_flags_inadmissible_medium(tmp_path, capsys):

@@ -241,6 +241,20 @@ def test_grid_solution_solves_one_system_per_radial_node(model,
     assert sizes == [64, 128]
 
 
+def test_grid_solution_is_real(model, monkeypatch):
+    """Real slownesses give real systems, solved in real arithmetic."""
+    dtypes = []
+
+    def spy(a, b, q_x, q_y):
+        dtypes.append((a.dtype, b.dtype))
+        return _solve_batch(a, b, q_x, q_y)
+
+    monkeypatch.setattr(oracle, "_solve_batch", spy)
+    coef = oracle._grid_solution(model, 1e-3, 16)[-1]
+    assert dtypes == [(np.float64, np.float64)]
+    assert coef.dtype == np.float64 and coef.shape == (16, 4)
+
+
 def test_default_probe_covers_the_slowest_wave(acoustic, poro_params,
                                                porous_receiver):
     """q_width follows the slowest wave on the receiver's side: with shear at
