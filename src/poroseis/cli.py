@@ -48,6 +48,10 @@ class ConfigError(Exception):
 
 _TRANSMITTED_ORDER = (WaveKind.TRANSMITTED_PF, WaveKind.TRANSMITTED_PS,
                       WaveKind.TRANSMITTED_S)
+# The verify grid runs _VERIFY_SPAN / s past each onset (truncation
+# exp(-34) against the 1e-3 gate), in at most _VERIFY_MAX_SAMPLES samples.
+_VERIFY_SPAN = 34.0
+_VERIFY_MAX_SAMPLES = 10 ** 6
 _VERIFY_FLUID = ("xi_ref", "u_ref_x", "u_ref_z")
 _VERIFY_POROUS = ("u_pf_x", "u_pf_z", "u_ps_x", "u_ps_z", "u_s_x", "u_s_z")
 
@@ -222,10 +226,16 @@ def load_config(cfg: dict) -> RunSetup:
     if not isinstance(s_values, list):
         raise ConfigError("verify.s_values_per_s must be a list of numbers")
     s_values = [_finite(v, "verify.s_values_per_s entry") for v in s_values]
+    s_min = _VERIFY_SPAN / (_VERIFY_MAX_SAMPLES * dt)
     for v in s_values:
         if not v > 0.0:
             raise ConfigError(f"verify.s_values_per_s entries must be "
                               f"positive, got {v!r}")
+        if v < s_min:
+            raise ConfigError(
+                f"verify.s_values_per_s entry {v!r} needs more than "
+                f"{_VERIFY_MAX_SAMPLES} samples at dt_s={dt}; the smallest "
+                f"accepted s is {s_min!r}")
     verify_n = vf_sec.get("grid_n", 240)
     if not isinstance(verify_n, int) or verify_n < 8:
         raise ConfigError(f"verify.grid_n must be an integer >= 8, got {verify_n!r}")
@@ -373,7 +383,7 @@ def verify_grid(model: HalfspaceModel, receiver: Receiver, kind: WaveKind,
     if arr.head_exists:
         k_back = int(math.ceil((arr.t0 - arr.t_h1) / dt + 0.5))
     t_start = arr.t0 - (k_back + 0.5) * dt
-    n_fwd = int(math.ceil(34.0 / (s * dt)))
+    n_fwd = int(math.ceil(_VERIFY_SPAN / (s * dt)))
     return t_start + np.arange(k_back + n_fwd + 2) * dt
 
 

@@ -13,10 +13,26 @@ shear).  Their amplitudes solve a 4x4 linear system expressing, row by row:
 The system is assembled per horizontal slowness (q_x, q_y); entries depend on
 q_x and q_y only through q_x^2 + q_y^2 and the vertical slownesses, which is
 what makes the transverse-slowness reduction of the 3-D problem work.
+
+The entry formulas live in _structural_entries alone.  Two solvers use them:
+
+- the trace engine (poroseis.green) solves every quadrature node in closed
+  form with _solve_structured, which eliminates R and takes one adjugate
+  column of the remaining 3x3 system, without building 4x4 matrices;
+- solve_coefficients and the Laplace oracle (poroseis.oracle) assemble the
+  4x4 systems with _assemble_batch and solve them with LAPACK in
+  _solve_batch.  Keeping the oracle on a different solver lets it judge the
+  closed form instead of sharing its errors.
+
+Both apply the same singularity gates to the 4x4 system: an exact zero
+determinant or pivot, a non-finite solution, the equilibrated condition
+bound and the relative residual.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +83,27 @@ def solve_coefficients(acoustic: AcousticMedium, poro: PoroelasticDerived,
                                  t_ps=complex(x[2]), t_s=complex(x[3]))
 
 
-def _assemble_batch(acoustic, poro, qq, k_plus, k_pf, k_ps, k_s):
-    """Assemble (m, 4, 4) matrices and (m, 4) right-hand sides.
+# The twelve non-trivial entries of the interface system and the values of
+# its right-hand side (b0, b1, 0, b1).  The pressure row (1) and the
+# normal-stress row (3) carry a unit coefficient on R; every other entry
+# not named here is zero.  a11 and a12 do not depend on the slowness.
+InterfaceEntries = namedtuple(
+    "InterfaceEntries",
+    "a00 a01 a02 a03 a11 a12 a21 a22 a23 a31 a32 a33 b0 b1")
+
+# (row, column) of the InterfaceEntries matrix fields.
+_ENTRY_POSITIONS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
+                    (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
+
+
+def _structural_entries(acoustic, poro, qq, k_plus, k_pf, k_ps,
+                        k_s) -> InterfaceEntries:
+    """Entries of the interface systems at a batch of slownesses.
 
     The vertical slownesses are passed in rather than recomputed so that the
     caller controls the branch (deformed contours evaluate them on a specific
     rim of the cut).  Their squares are branch-free and are rebuilt from qq.
-    Real inputs give real systems.
+    Real inputs give real entries.
     """
     p11, p12 = poro.p_mat[0, 0], poro.p_mat[0, 1]
     p21, p22 = poro.p_mat[1, 0], poro.p_mat[1, 1]
@@ -85,41 +115,50 @@ def _assemble_batch(acoustic, poro, qq, k_plus, k_pf, k_ps, k_s):
     rho_f = poro.params.rho_f
 
     qq = np.asarray(qq)
-    dtype = np.result_type(qq, k_plus, k_pf, k_ps, k_s)
-    n = qq.shape[0]
-    a = np.zeros((n, 4, 4), dtype=dtype)
-    b = np.zeros((n, 4), dtype=dtype)
-
     k_pf_sq = 1.0 / poro.v_pf ** 2 + qq
     k_ps_sq = 1.0 / poro.v_ps ** 2 + qq
     k_s_sq = 1.0 / poro.v_s ** 2 + qq
-
-    # Vertical displacement continuity (solid frame plus relative flow).
-    a[:, 0, 0] = -k_plus / rho_plus
-    a[:, 0, 1] = (p11 + p21) * k_pf
-    a[:, 0, 2] = (p12 + p22) * k_ps
-    a[:, 0, 3] = (1.0 - rho_f / poro.rho_w) * qq
-    # Fluid pressure equals pore pressure.
-    a[:, 1, 0] = 1.0
-    a[:, 1, 1] = m_mod * (beta * p11 + p21) / poro.v_pf ** 2
-    a[:, 1, 2] = m_mod * (beta * p12 + p22) / poro.v_ps ** 2
-    # Tangential stress vanishes on the porous side.
-    a[:, 2, 1] = 2.0 * p11 * k_pf
-    a[:, 2, 2] = 2.0 * p12 * k_ps
-    a[:, 2, 3] = k_s_sq + qq
-    # Normal stress balances the fluid pressure.
     lam_c = poro.lam + m_mod * beta * beta
-    a[:, 3, 0] = 1.0
-    a[:, 3, 1] = (lam_c * p11 + m_mod * beta * p21) / poro.v_pf ** 2 \
-        + 2.0 * mu * k_pf_sq * p11
-    a[:, 3, 2] = (lam_c * p12 + m_mod * beta * p22) / poro.v_ps ** 2 \
-        + 2.0 * mu * k_ps_sq * p12
-    a[:, 3, 3] = 2.0 * mu * qq * k_s
-
     src = -1.0 / (2.0 * k_plus * v_plus ** 2)
-    b[:, 0] = src * k_plus / rho_plus
-    b[:, 1] = src
-    b[:, 3] = src
+    return InterfaceEntries(
+        # Vertical displacement continuity (solid frame plus relative flow).
+        a00=-k_plus / rho_plus,
+        a01=(p11 + p21) * k_pf,
+        a02=(p12 + p22) * k_ps,
+        a03=(1.0 - rho_f / poro.rho_w) * qq,
+        # Fluid pressure equals pore pressure (a10 = 1).
+        a11=m_mod * (beta * p11 + p21) / poro.v_pf ** 2,
+        a12=m_mod * (beta * p12 + p22) / poro.v_ps ** 2,
+        # Tangential stress vanishes on the porous side.
+        a21=2.0 * p11 * k_pf,
+        a22=2.0 * p12 * k_ps,
+        a23=k_s_sq + qq,
+        # Normal stress balances the fluid pressure (a30 = 1).
+        a31=(lam_c * p11 + m_mod * beta * p21) / poro.v_pf ** 2
+        + 2.0 * mu * k_pf_sq * p11,
+        a32=(lam_c * p12 + m_mod * beta * p22) / poro.v_ps ** 2
+        + 2.0 * mu * k_ps_sq * p12,
+        a33=2.0 * mu * qq * k_s,
+        b0=src * k_plus / rho_plus,
+        b1=src,
+    )
+
+
+def _assemble_batch(acoustic, poro, qq, k_plus, k_pf, k_ps, k_s):
+    """Assemble (m, 4, 4) matrices and (m, 4) right-hand sides.
+
+    Arguments as in _structural_entries; real inputs give real systems.
+    """
+    e = _structural_entries(acoustic, poro, qq, k_plus, k_pf, k_ps, k_s)
+    dtype = np.result_type(qq, k_plus, k_pf, k_ps, k_s)
+    n = np.shape(qq)[0]
+    a = np.zeros((n, 4, 4), dtype=dtype)
+    b = np.zeros((n, 4), dtype=dtype)
+    for (i, j), value in zip(_ENTRY_POSITIONS, e):
+        a[:, i, j] = value
+    a[:, 1, 0] = a[:, 3, 0] = 1.0
+    b[:, 0] = e.b0
+    b[:, 1] = b[:, 3] = e.b1
     return a, b
 
 
@@ -138,23 +177,17 @@ def _solve_batch(a, b, q_x, q_y):
     the offending slowness pair.
 
     Parameters are the stacked systems (m, 4, 4), (m, 4) and the slowness
-    arrays used only for error reporting (q_y may be scalar).
+    arrays used only for error reporting (q_y may be scalar).  This solve
+    serves solve_coefficients and the Laplace oracle, which thereby checks
+    the trace engine's closed form (_solve_structured) independently.
     """
-    q_y = np.broadcast_to(np.asarray(q_y), np.asarray(q_x).shape)
-
-    def fail(bad, detail, value=None):
-        """Raise SingularSystem for the first system flagged in bad."""
-        i = int(np.argmax(bad))
-        if value is not None:
-            detail = f"{detail} {value[i]:.3e}"
-        raise SingularSystem(q_x[i], q_y[i], detail)
-
     try:
         x = np.linalg.solve(a, b[..., np.newaxis])[..., 0]
     except np.linalg.LinAlgError:
-        fail(np.linalg.det(a) == 0.0, "exactly singular")
+        _fail(q_x, q_y, np.linalg.det(a) == 0.0, "exactly singular")
     if not np.all(np.isfinite(x)):
-        fail(~np.all(np.isfinite(x), axis=1), "solution not finite")
+        _fail(q_x, q_y, ~np.all(np.isfinite(x), axis=1),
+              "solution not finite")
 
     abs_a = np.abs(a)
     abs_b = np.abs(b)
@@ -166,21 +199,118 @@ def _solve_batch(a, b, q_x, q_y):
     cond = _max4(abs_x / col) / _max4(abs_b * row)
     ill = cond >= _COND_LIMIT
     if np.any(ill):
-        fail(ill, "equilibrated condition number at least", cond)
+        _fail(q_x, q_y, ill, "equilibrated condition number at least", cond)
 
     resid = _max4(np.abs(np.einsum("mij,mj->mi", a, x) - b))
     scale = np.maximum(_max4(abs_b), norm_a * _max4(abs_x))
     bad = ~(resid <= _RESIDUAL_BOUND * scale)
     if np.any(bad):
-        fail(bad, "relative residual", resid / scale)
+        _fail(q_x, q_y, bad, "relative residual", resid / scale)
     return x
 
 
-def _max4(v):
-    """Maximum over the last axis, of length 4.
+def _solve_structured(e: InterfaceEntries, q_x, q_y):
+    """Solve a batch of interface systems in closed form from their entries.
 
-    numpy's own reduction over an axis this short costs about twenty times
-    as much as these three elementwise maxima.
+    Row 1 gives R = b1 - a11 t_pf - a12 t_ps.  Substituting it into rows
+    0 and 3 leaves the 3x3 system M (t_pf, t_ps, t_s) = (c, 0, 0),
+
+        M = [[a01 - a00 a11, a02 - a00 a12, a03],
+             [a21,           a22,           a23],
+             [a31 - a11,     a32 - a12,     a33]],   c = b0 - a00 b1,
+
+    whose solution is c times the first column of the adjugate of M over
+    its determinant.  The gates are those of _solve_batch, evaluated on the
+    4x4 system from its entries: a zero determinant, a non-finite solution,
+    the equilibrated condition bound and the relative residual on the
+    original system each raise SingularSystem at the first failing
+    slowness pair.  No (m, 4, 4) array is built.
+
+    Returns the arrays (r, t_pf, t_ps, t_s); q_x and q_y serve only the
+    error report (q_y may be scalar).
     """
-    return np.maximum(np.maximum(v[..., 0], v[..., 1]),
-                      np.maximum(v[..., 2], v[..., 3]))
+    a00, a01, a02, a03, a11, a12, a21, a22, a23, a31, a32, a33, b0, b1 = e
+
+    # Non-finite entries or an overflow show up as a non-finite solution,
+    # reported by its gate below rather than as a numpy warning.
+    with np.errstate(all="ignore"):
+        m00 = a01 - a00 * a11
+        m01 = a02 - a00 * a12
+        m20 = a31 - a11
+        m21 = a32 - a12
+        adj0 = a22 * a33 - a23 * m21
+        adj1 = a23 * m20 - a21 * a33
+        adj2 = a21 * m21 - a22 * m20
+        det = m00 * adj0 + m01 * adj1 + a03 * adj2
+        if np.any(det == 0.0):
+            _fail(q_x, q_y, det == 0.0, "exactly singular")
+        c_det = (b0 - a00 * b1) / det
+        t_pf = c_det * adj0
+        t_ps = c_det * adj1
+        t_s = c_det * adj2
+        r = b1 - a11 * t_pf - a12 * t_ps
+    x = (r, t_pf, t_ps, t_s)
+    finite = np.isfinite(r) & np.isfinite(t_pf) & np.isfinite(t_ps) \
+        & np.isfinite(t_s)
+    if not np.all(finite):
+        _fail(q_x, q_y, ~finite, "solution not finite")
+
+    # Row maxima of |A| (rows 1 and 3 hold the unit coefficient of R), and
+    # column maxima of the row-equilibrated |A|.
+    g00, g01, g02, g03, g11, g12, g21, g22, g23, g31, g32, g33 = (
+        np.abs(v) for v in e[:12])
+    row0 = _max(g00, g01, g02, g03)
+    row1 = _max(1.0, g11, g12)
+    row2 = _max(g21, g22, g23)
+    row3 = _max(1.0, g31, g32, g33)
+    col0 = _max(g00 / row0, 1.0 / row1, 1.0 / row3)
+    col1 = _max(g01 / row0, g11 / row1, g21 / row2, g31 / row3)
+    col2 = _max(g02 / row0, g12 / row1, g22 / row2, g32 / row3)
+    col3 = _max(g03 / row0, g23 / row2, g33 / row3)
+    abs_x = [np.abs(v) for v in x]
+    abs_b0, abs_b1 = np.abs(b0), np.abs(b1)
+    cond = _max(abs_x[0] * col0, abs_x[1] * col1, abs_x[2] * col2,
+                abs_x[3] * col3) \
+        / _max(abs_b0 / row0, abs_b1 / row1, abs_b1 / row3)
+    ill = cond >= _COND_LIMIT
+    if np.any(ill):
+        _fail(q_x, q_y, ill, "equilibrated condition number at least", cond)
+
+    norm_a = _max(g00 + g01 + g02 + g03, 1.0 + g11 + g12, g21 + g22 + g23,
+                  1.0 + g31 + g32 + g33)
+    resid = _max(
+        np.abs(a00 * r + a01 * t_pf + a02 * t_ps + a03 * t_s - b0),
+        np.abs(r + a11 * t_pf + a12 * t_ps - b1),
+        np.abs(a21 * t_pf + a22 * t_ps + a23 * t_s),
+        np.abs(r + a31 * t_pf + a32 * t_ps + a33 * t_s - b1))
+    scale = np.maximum(np.maximum(abs_b0, abs_b1), norm_a * _max(*abs_x))
+    bad = ~(resid <= _RESIDUAL_BOUND * scale)
+    if np.any(bad):
+        _fail(q_x, q_y, bad, "relative residual", resid / scale)
+    return x
+
+
+def _fail(q_x, q_y, bad, detail, value=None):
+    """Raise SingularSystem for the first system flagged in bad.
+
+    q_y may be scalar; value, when given, is reported at that system.
+    """
+    i = int(np.argmax(bad))
+    if value is not None:
+        detail = f"{detail} {value[i]:.3e}"
+    raise SingularSystem(q_x[i], np.broadcast_to(q_y, np.shape(q_x))[i],
+                         detail)
+
+
+def _max(*values):
+    """Elementwise maximum of its arguments.
+
+    numpy's own reduction over a short axis costs about twenty times as much
+    as a chain of elementwise maxima.
+    """
+    return functools.reduce(np.maximum, values)
+
+
+def _max4(v):
+    """Maximum over the last axis, of length 4."""
+    return _max(v[..., 0], v[..., 1], v[..., 2], v[..., 3])

@@ -32,7 +32,7 @@ from . import cagniard
 from .branch_math import fictitious_velocity, kappa, kappa_below_cut
 from .cagniard import (ArrivalTimes, Geometry, WaveBranch, WaveKind,
                        arrival_times, reflected_branch, transmitted_branches)
-from .coefficients import _assemble_batch, _solve_batch
+from .coefficients import _solve_structured, _structural_entries
 from .errors import DomainError, NonFiniteIntegrand, PoroseisError
 from .media import AcousticMedium, PoroelasticDerived
 
@@ -165,21 +165,22 @@ def _channel_weights(branch: WaveBranch, model: HalfspaceModel, i_gam, qq,
                      k_plus, k_pf, k_ps, k_s, coef):
     """Per-channel contour weights W for one branch.
 
-    i_gam is i*gamma (real on head segments), qq is gamma^2 + q^2.  The
-    returned columns follow the channel order of the trace dataclasses.
+    i_gam is i*gamma (real on head segments), qq is gamma^2 + q^2 and coef
+    the interface coefficients (r, t_pf, t_ps, t_s).  The returned columns
+    follow the channel order of the trace dataclasses.
     """
     if branch.kind is WaveKind.REFLECTED:
-        refl = coef[:, 0]
+        refl = coef[0]
         rho = model.acoustic.rho_plus
         return np.stack([refl, i_gam * refl / rho, k_plus * refl / rho], axis=1)
     p = model.poro.p_mat
     if branch.kind is WaveKind.TRANSMITTED_PF:
-        amp = p[0, 0] * coef[:, 1]
+        amp = p[0, 0] * coef[1]
         return np.stack([-i_gam * amp, k_pf * amp], axis=1)
     if branch.kind is WaveKind.TRANSMITTED_PS:
-        amp = p[0, 1] * coef[:, 2]
+        amp = p[0, 1] * coef[2]
         return np.stack([-i_gam * amp, k_ps * amp], axis=1)
-    amp = coef[:, 3]
+    amp = coef[3]
     return np.stack([-i_gam * k_s * amp, qq * amp], axis=1)
 
 
@@ -196,8 +197,8 @@ def _volume_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     k_ps = kappa(pd.v_ps, gam, q)
     k_s = kappa(pd.v_s, gam, q)
     qq = gam * gam + q * q
-    a, b = _assemble_batch(ac, pd, qq, k_plus, k_pf, k_ps, k_s)
-    coef = _solve_batch(a, b, gam, q)
+    coef = _solve_structured(
+        _structural_entries(ac, pd, qq, k_plus, k_pf, k_ps, k_s), gam, q)
     w = _channel_weights(branch, model, 1j * gam, qq,
                          k_plus, k_pf, k_ps, k_s, coef)
     return (w * dgdt[:, None]).real
@@ -214,8 +215,8 @@ def _head_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     k_ps = kappa_below_cut(pd.v_ps, zeta, q)
     k_s = kappa_below_cut(pd.v_s, zeta, q)
     qq = q * q - zeta * zeta
-    a, b = _assemble_batch(ac, pd, qq + 0j, k_plus, k_pf, k_ps, k_s)
-    coef = _solve_batch(a, b, ups, q)
+    coef = _solve_structured(
+        _structural_entries(ac, pd, qq, k_plus, k_pf, k_ps, k_s), ups, q)
     w = _channel_weights(branch, model, zeta + 0j, qq + 0j,
                          k_plus, k_pf, k_ps, k_s, coef)
     return (w * dups[:, None]).real

@@ -48,6 +48,11 @@ def test_fixture_command_prints_loadable_config(capsys):
     (lambda c: c["poroelastic"].update(phi=1.4), "porosity"),
     (lambda c: c["verify"].update(s_values_per_s=[0]), "positive, got 0"),
     (lambda c: c["verify"].update(s_values_per_s=[-5]), "positive, got -5"),
+    # More than 1e6 verify samples past onset at the fixture dt = 2.5e-4 s.
+    (lambda c: c["verify"].update(s_values_per_s=[1e-300]),
+     "smallest accepted s is 0.136"),
+    (lambda c: c["verify"].update(s_values_per_s=[20.0, 0.1]),
+     "entry 0.1 needs more than 1000000 samples"),
     (lambda c: c["acoustic"].update(v_m_s=10 ** 400), "v_m_s is too large"),
     (lambda c: c["receivers"].__setitem__(0, [float("nan"), 0.0, -533.0]),
      "receiver 0 coordinate must be a finite number, got nan"),

@@ -1,12 +1,20 @@
-"""Interface system assembly and the LAPACK solve with its singularity gates."""
+"""Interface system assembly, the LAPACK solve and the closed-form solve of
+the trace engine, with their singularity gates."""
+
+import warnings
 
 import numpy as np
 import pytest
+from test_random_media import random_setup
 
+from poroseis import green
 from poroseis.branch_math import kappa
-from poroseis.coefficients import (_assemble_batch, _solve_batch,
-                                   assemble_system, solve_coefficients)
+from poroseis.coefficients import (InterfaceEntries, _assemble_batch,
+                                   _solve_batch, _solve_structured,
+                                   _structural_entries, assemble_system,
+                                   solve_coefficients)
 from poroseis.errors import SingularSystem
+from poroseis.green import QuadratureConfig, branch_arrivals, transmitted_trace
 from poroseis.media import PoroelasticParams, derive_poroelastic
 
 # Normal-incidence coefficients for the validation material, frozen after
@@ -88,16 +96,21 @@ def test_singular_error_carries_slowness():
     assert err.value.q_x == pytest.approx(7e-4)
 
 
+# The admissible medium and slowness pair of the mixed-unit tests.
+MIXED_UNIT_PARAMS = PoroelasticParams(
+    rho_s=2040.2182209046007, rho_f=1113.4460472353273,
+    phi=0.3060616344185112, a=2.6519144443407985, k_s=28438797176.24685,
+    k_f=1794341380.5625176, k_b=21080471159.22857, mu=29635011739.050343)
+MIXED_UNIT_Q = (7.188761993841277e-07 - 5.392549196783516e-04j,
+                4.6162754850875387e-04)
+
+
 def test_mixed_unit_system_is_not_singular(acoustic):
     """The rows mix 1/rho and Pa: this admissible medium's raw condition
     number is about 1e14 but the equilibrated one about 6.5e2, so a pivot
     test against the raw row-sum norm would reject a well-posed system."""
-    poro = derive_poroelastic(PoroelasticParams(
-        rho_s=2040.2182209046007, rho_f=1113.4460472353273,
-        phi=0.3060616344185112, a=2.6519144443407985, k_s=28438797176.24685,
-        k_f=1794341380.5625176, k_b=21080471159.22857, mu=29635011739.050343))
-    q_x = 7.188761993841277e-07 - 5.392549196783516e-04j
-    q_y = 4.6162754850875387e-04
+    poro = derive_poroelastic(MIXED_UNIT_PARAMS)
+    q_x, q_y = MIXED_UNIT_Q
     c = solve_coefficients(acoustic, poro, q_x, q_y)
     a, b = assemble_system(acoustic, poro, q_x, q_y)
     x = np.array([c.r, c.t_pf, c.t_ps, c.t_s])
@@ -127,3 +140,103 @@ def test_non_finite_system_raises():
     with pytest.raises(SingularSystem) as err:
         _solve_batch(a, b, np.array([3e-4]), np.array([1e-4]))
     assert err.value.q_y == pytest.approx(1e-4)
+
+
+def _closed_form_errors(args):
+    """Relative residual of the closed-form solve on the 4x4 system and its
+    distance from the LAPACK solve per system, as a fraction of max|x|.
+
+    args are the arguments of _structural_entries for a batch of systems.
+    """
+    a, b = _assemble_batch(*args)
+    q = np.arange(a.shape[0], dtype=float)
+    ours = np.stack(_solve_structured(_structural_entries(*args), q, 0.0),
+                    axis=1)
+    ref = _solve_batch(a, b, q, 0.0)
+    size = np.max(np.abs(ours), axis=1)
+    resid = np.max(np.abs(np.einsum("mij,mj->mi", a, ours) - b), axis=1)
+    scale = np.maximum(np.max(np.abs(b), axis=1),
+                       np.max(np.sum(np.abs(a), axis=2), axis=1) * size)
+    return resid / scale, np.max(np.abs(ours - ref), axis=1) / size
+
+
+def test_closed_form_agrees_with_lapack_on_random_media(acoustic,
+                                                        monkeypatch):
+    """Every volume (complex gamma) and head (real zeta) system the engine
+    solves on 40 draws of the random-media sampler: the closed form leaves a
+    relative residual of at most 1e-13 and lies within 1e-11 of max|x| of
+    LAPACK.  The bound on the difference is LAPACK's: its error reaches
+    about 2e-12 on such draws, against about 1e-16 for the closed form."""
+    systems = []
+
+    def spy(*args):
+        systems.append(args)
+        return _structural_entries(*args)
+
+    monkeypatch.setattr(green, "_structural_entries", spy)
+    cfg = QuadratureConfig(n=16)
+    for seed in range(40):
+        model, receiver = random_setup(seed, acoustic)
+        for kind, arr in branch_arrivals(model, receiver).items():
+            onset, end = arr.t0, arr.t0
+            if arr.head_exists:
+                onset, end = arr.t_h1, max(arr.t0, arr.t_h2)
+            t_grid = np.linspace(onset, 1.05 * end + 0.01, 8)
+            transmitted_trace(model, receiver, kind, t_grid, cfg)
+    monkeypatch.undo()
+    seen = set()
+    for args in systems:
+        seen.add("volume" if np.iscomplexobj(args[2]) else "head")
+        resid, diff = _closed_form_errors(args)
+        assert np.max(resid) <= 1e-13
+        assert np.max(diff) <= 1e-11
+    assert seen == {"volume", "head"}
+
+
+def test_closed_form_agrees_with_lapack_on_mixed_unit_system(acoustic):
+    poro = derive_poroelastic(MIXED_UNIT_PARAMS)
+    q_x, q_y = MIXED_UNIT_Q
+    kappas = [np.atleast_1d(kappa(v, q_x, q_y))
+              for v in (acoustic.v_plus, poro.v_pf, poro.v_ps, poro.v_s)]
+    qq = np.atleast_1d(q_x * q_x + q_y * q_y)
+    resid, diff = _closed_form_errors((acoustic, poro, qq, *kappas))
+    assert resid[0] <= 1e-13
+    assert diff[0] <= 1e-11
+
+
+def _gate_entries(**bad):
+    """Two systems: the first well posed (x = (1, 1, 0, 0)), the second with
+    the entries given in bad replaced."""
+    fields = dict.fromkeys(InterfaceEntries._fields, 0.0)
+    fields.update(a01=1.0, a22=1.0, a33=1.0, b0=1.0, b1=1.0)
+    out = {}
+    for name, value in fields.items():
+        out[name] = np.array([value, bad.get(name, value)], dtype=complex)
+    return InterfaceEntries(**out)
+
+
+Q_X = np.array([1e-4 + 0j, 5e-4 - 2e-4j])
+Q_Y = np.array([2e-4, 3e-4])
+
+
+@pytest.mark.parametrize("bad, fragment", [
+    # Row 2 vanishes: the determinant is exactly zero.
+    (dict(a21=0.0, a22=0.0, a23=0.0), "exactly singular"),
+    # M = [[1, 1, 0], [1, 1 + 2**-50, 0], [0, 0, 1]]: det = 2**-50, so the
+    # solution is finite but the equilibrated condition bound about 1e15.
+    (dict(a02=1.0, a21=1.0, a22=1.0 + 2.0 ** -50), "condition"),
+    (dict(a22=np.nan), "solution not finite"),
+])
+def test_closed_form_gates(bad, fragment):
+    """Each gate raises SingularSystem at the second system, naming its
+    slowness pair, and none emits a numpy warning."""
+    entries = _gate_entries(**bad)
+    np.testing.assert_array_equal(
+        np.stack(_solve_structured(_gate_entries(), Q_X, Q_Y), axis=1),
+        [[1.0, 1.0, 0.0, 0.0]] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match=fragment) as err:
+            _solve_structured(entries, Q_X, Q_Y)
+    assert err.value.q_x == Q_X[1] and err.value.q_y == Q_Y[1]
+    assert f"q_x={Q_X[1]!r}, q_y={Q_Y[1]!r}" in str(err.value)

@@ -204,19 +204,28 @@ def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
 
 def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
     """The batched time loop gives the per-sample traces to 1e-12 of peak,
-    on volume, head and mixed windows, one window per interface solve."""
-    from poroseis import green
+    on volume, head and mixed windows, one window per interface solve; the
+    engine solves in closed form and never calls the LAPACK solve."""
+    from poroseis import coefficients, green
     from poroseis.cagniard import (arrival_times, reflected_branch,
                                    transmitted_branches)
 
     batches = []
-    assemble = green._assemble_batch
+    lapack_calls = []
+    solve = green._solve_structured
+    lapack = coefficients._solve_batch
 
-    def spy(acoustic, poro, qq, *kappas):
-        batches.append(np.size(qq))
-        return assemble(acoustic, poro, qq, *kappas)
+    def spy(entries, q_x, q_y):
+        batches.append(np.size(q_x))
+        return solve(entries, q_x, q_y)
 
-    monkeypatch.setattr(green, "_assemble_batch", spy)
+    def lapack_spy(*args):
+        lapack_calls.append(args)
+        return lapack(*args)
+
+    monkeypatch.setattr(green, "_solve_structured", spy)
+    for module in (coefficients, green):
+        monkeypatch.setattr(module, "_solve_batch", lapack_spy, raising=False)
     cfg = QuadratureConfig(n=64)
     wide = Receiver(x=800.0, y=0.0, z=-200.0)
     branches = transmitted_branches(model.acoustic, model.poro)
@@ -236,6 +245,7 @@ def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
         batches.clear()
         got = green._contour_trace(model, geom, branch, t, cfg, n_channels)
         assert set(batches) == {cfg.n}
+        assert not lapack_calls
         peak = np.max(np.abs(expect), axis=0)
         assert np.all(np.abs(got - expect) <= 1e-12 * peak), branch.kind
     assert {(WaveKind.REFLECTED, "volume"),
