@@ -14,19 +14,20 @@ The system is assembled per horizontal slowness (q_x, q_y); entries depend on
 q_x and q_y only through q_x^2 + q_y^2 and the vertical slownesses, which is
 what makes the transverse-slowness reduction of the 3-D problem work.
 
-The entry formulas live in _structural_entries alone.  Two solvers use them:
+The entry formulas live in _structural_entries alone.  Two solvers take
+these entries and return (r, t_pf, t_ps, t_s):
 
 - the trace engine (poroseis.green) solves every quadrature node in closed
   form with _solve_structured, which eliminates R and takes one adjugate
   column of the remaining 3x3 system, without building 4x4 matrices;
-- solve_coefficients and the Laplace oracle (poroseis.oracle) assemble the
-  4x4 systems with _assemble_batch and solve them with LAPACK in
-  _solve_batch.  Keeping the oracle on a different solver lets it judge the
-  closed form instead of sharing its errors.
+- solve_coefficients and the Laplace oracle (poroseis.oracle) solve with
+  LAPACK in _solve_batch.  Keeping the oracle on a different solver lets it
+  judge the closed form instead of sharing its errors.
 
-Both apply the same singularity gates to the 4x4 system: an exact zero
-determinant or pivot, a non-finite solution, the equilibrated condition
-bound and the relative residual.
+Each maps an exact zero determinant or pivot to SingularSystem, and both
+then call one gate function, _check_solution, on the 4x4 system: a
+non-finite solution, the equilibrated condition bound and the relative
+residual.  The singularity policy is written there once.
 """
 
 from __future__ import annotations
@@ -59,28 +60,24 @@ class InterfaceCoefficients:
 def assemble_system(acoustic: AcousticMedium, poro: PoroelasticDerived,
                     q_x, q_y) -> tuple[np.ndarray, np.ndarray]:
     """Build the 4x4 system matrix and right-hand side at one slowness pair."""
-    k_plus = kappa(acoustic.v_plus, q_x, q_y)
-    k_pf = kappa(poro.v_pf, q_x, q_y)
-    k_ps = kappa(poro.v_ps, q_x, q_y)
-    k_s = kappa(poro.v_s, q_x, q_y)
-    qq = complex(q_x) ** 2 + complex(q_y) ** 2
-    a, b = _assemble_batch(
-        acoustic, poro,
-        np.atleast_1d(qq),
-        np.atleast_1d(k_plus), np.atleast_1d(k_pf),
-        np.atleast_1d(k_ps), np.atleast_1d(k_s),
-    )
+    a, b = _scatter(_entries_at(acoustic, poro, q_x, q_y))
     return a[0], b[0]
 
 
 def solve_coefficients(acoustic: AcousticMedium, poro: PoroelasticDerived,
                        q_x, q_y) -> InterfaceCoefficients:
     """Solve the interface system at one slowness pair."""
-    a, b = assemble_system(acoustic, poro, q_x, q_y)
-    x = _solve_batch(a[np.newaxis], b[np.newaxis],
-                     np.atleast_1d(q_x), np.atleast_1d(q_y))[0]
-    return InterfaceCoefficients(r=complex(x[0]), t_pf=complex(x[1]),
-                                 t_ps=complex(x[2]), t_s=complex(x[3]))
+    x = _solve_batch(_entries_at(acoustic, poro, q_x, q_y),
+                     np.atleast_1d(q_x), np.atleast_1d(q_y))
+    return InterfaceCoefficients(*(complex(v[0]) for v in x))
+
+
+def _entries_at(acoustic, poro, q_x, q_y) -> InterfaceEntries:
+    """Entries of the one-system batch at the slowness pair (q_x, q_y)."""
+    kappas = [np.atleast_1d(kappa(v, q_x, q_y))
+              for v in (acoustic.v_plus, poro.v_pf, poro.v_ps, poro.v_s)]
+    qq = np.atleast_1d(complex(q_x) ** 2 + complex(q_y) ** 2)
+    return _structural_entries(acoustic, poro, qq, *kappas)
 
 
 # The twelve non-trivial entries of the interface system and the values of
@@ -149,9 +146,14 @@ def _assemble_batch(acoustic, poro, qq, k_plus, k_pf, k_ps, k_s):
 
     Arguments as in _structural_entries; real inputs give real systems.
     """
-    e = _structural_entries(acoustic, poro, qq, k_plus, k_pf, k_ps, k_s)
-    dtype = np.result_type(qq, k_plus, k_pf, k_ps, k_s)
-    n = np.shape(qq)[0]
+    return _scatter(_structural_entries(acoustic, poro, qq, k_plus, k_pf,
+                                        k_ps, k_s))
+
+
+def _scatter(e: InterfaceEntries):
+    """The (m, 4, 4) matrices and (m, 4) right-hand sides of the entries."""
+    dtype = np.result_type(*e)
+    n = np.broadcast(*e).shape[0]
     a = np.zeros((n, 4, 4), dtype=dtype)
     b = np.zeros((n, 4), dtype=dtype)
     for (i, j), value in zip(_ENTRY_POSITIONS, e):
@@ -162,50 +164,27 @@ def _assemble_batch(acoustic, poro, qq, k_plus, k_pf, k_ps, k_s):
     return a, b
 
 
-def _solve_batch(a, b, q_x, q_y):
-    """Solve a batch of 4x4 systems with LAPACK (batched numpy.linalg.solve).
+def _solve_batch(e: InterfaceEntries, q_x, q_y):
+    """Solve a batch of interface systems with LAPACK (numpy.linalg.solve).
 
-    The rows mix units (1/rho against stresses in Pa), so singularity is
-    judged on the row- then column-equilibrated system R A C, in the spirit
-    of LAPACK xGEEQU: a system is singular when LAPACK finds an exact zero
-    pivot, when its solution is not finite, or when the lower bound
-    max|x_j / c_j| / max|r_i b_i| of the equilibrated condition number
-    reaches 1e14.  Partial pivoting does not depend on the column scales,
-    so LAPACK solves the raw systems and the scales serve only this test.
-    Every solution is verified against a relative residual bound of 1e-10
-    on the original system.  A failure raises SingularSystem identifying
-    the offending slowness pair.
+    The entries are scattered into (m, 4, 4) matrices; an exact zero pivot
+    raises SingularSystem "exactly singular" at the first system with a
+    zero determinant, and every solution then passes _check_solution, the
+    gates the closed form passes too.  This solve serves
+    solve_coefficients and the Laplace oracle, which thereby check the
+    trace engine's closed form (_solve_structured) with an independent
+    solver: the gates only accept or reject, so the values are LAPACK's.
 
-    Parameters are the stacked systems (m, 4, 4), (m, 4) and the slowness
-    arrays used only for error reporting (q_y may be scalar).  This solve
-    serves solve_coefficients and the Laplace oracle, which thereby checks
-    the trace engine's closed form (_solve_structured) independently.
+    Returns the arrays (r, t_pf, t_ps, t_s); q_x and q_y serve only the
+    error report (q_y may be scalar).
     """
+    a, b = _scatter(e)
     try:
         x = np.linalg.solve(a, b[..., np.newaxis])[..., 0]
     except np.linalg.LinAlgError:
         _fail(q_x, q_y, np.linalg.det(a) == 0.0, "exactly singular")
-    if not np.all(np.isfinite(x)):
-        _fail(q_x, q_y, ~np.all(np.isfinite(x), axis=1),
-              "solution not finite")
-
-    abs_a = np.abs(a)
-    abs_b = np.abs(b)
-    abs_x = np.abs(x)
-    norm_a = _max4(np.sum(abs_a, axis=2))
-    row = 1.0 / _max4(abs_a)
-    abs_a *= row[:, :, np.newaxis]
-    col = 1.0 / _max4(np.swapaxes(abs_a, 1, 2))
-    cond = _max4(abs_x / col) / _max4(abs_b * row)
-    ill = cond >= _COND_LIMIT
-    if np.any(ill):
-        _fail(q_x, q_y, ill, "equilibrated condition number at least", cond)
-
-    resid = _max4(np.abs(np.einsum("mij,mj->mi", a, x) - b))
-    scale = np.maximum(_max4(abs_b), norm_a * _max4(abs_x))
-    bad = ~(resid <= _RESIDUAL_BOUND * scale)
-    if np.any(bad):
-        _fail(q_x, q_y, bad, "relative residual", resid / scale)
+    x = tuple(x.T)
+    _check_solution(e, x, q_x, q_y)
     return x
 
 
@@ -220,11 +199,10 @@ def _solve_structured(e: InterfaceEntries, q_x, q_y):
              [a31 - a11,     a32 - a12,     a33]],   c = b0 - a00 b1,
 
     whose solution is c times the first column of the adjugate of M over
-    its determinant.  The gates are those of _solve_batch, evaluated on the
-    4x4 system from its entries: a zero determinant, a non-finite solution,
-    the equilibrated condition bound and the relative residual on the
-    original system each raise SingularSystem at the first failing
-    slowness pair.  No (m, 4, 4) array is built.
+    its determinant.  A zero determinant raises SingularSystem "exactly
+    singular" before any division; every solution then passes
+    _check_solution, the gates of _solve_batch.  No (m, 4, 4) array is
+    built.
 
     Returns the arrays (r, t_pf, t_ps, t_s); q_x and q_y serve only the
     error report (q_y may be scalar).
@@ -232,7 +210,7 @@ def _solve_structured(e: InterfaceEntries, q_x, q_y):
     a00, a01, a02, a03, a11, a12, a21, a22, a23, a31, a32, a33, b0, b1 = e
 
     # Non-finite entries or an overflow show up as a non-finite solution,
-    # reported by its gate below rather than as a numpy warning.
+    # reported by its gate rather than as a numpy warning.
     with np.errstate(all="ignore"):
         m00 = a01 - a00 * a11
         m01 = a02 - a00 * a12
@@ -250,6 +228,24 @@ def _solve_structured(e: InterfaceEntries, q_x, q_y):
         t_s = c_det * adj2
         r = b1 - a11 * t_pf - a12 * t_ps
     x = (r, t_pf, t_ps, t_s)
+    _check_solution(e, x, q_x, q_y)
+    return x
+
+
+def _check_solution(e: InterfaceEntries, x, q_x, q_y):
+    """The singularity gates of the interface solves, on the 4x4 system.
+
+    x is the solution (r, t_pf, t_ps, t_s) of the systems with entries e.
+    The rows mix units (1/rho against stresses in Pa), so singularity is
+    judged on the row- then column-equilibrated system R A C, in the spirit
+    of LAPACK xGEEQU.  In order, a non-finite solution, a lower bound
+    max|x_j / c_j| / max|r_i b_i| of the equilibrated condition number at
+    or above _COND_LIMIT, and a relative residual on the original system
+    above _RESIDUAL_BOUND each raise SingularSystem at the first failing
+    slowness pair.  x is never changed.
+    """
+    a00, a01, a02, a03, a11, a12, a21, a22, a23, a31, a32, a33, b0, b1 = e
+    r, t_pf, t_ps, t_s = x
     finite = np.isfinite(r) & np.isfinite(t_pf) & np.isfinite(t_ps) \
         & np.isfinite(t_s)
     if not np.all(finite):
@@ -287,7 +283,6 @@ def _solve_structured(e: InterfaceEntries, q_x, q_y):
     bad = ~(resid <= _RESIDUAL_BOUND * scale)
     if np.any(bad):
         _fail(q_x, q_y, bad, "relative residual", resid / scale)
-    return x
 
 
 def _fail(q_x, q_y, bad, detail, value=None):
@@ -310,7 +305,3 @@ def _max(*values):
     """
     return functools.reduce(np.maximum, values)
 
-
-def _max4(v):
-    """Maximum over the last axis, of length 4."""
-    return _max(v[..., 0], v[..., 1], v[..., 2], v[..., 3])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cagniard import Geometry, WaveBranch, _p0_vec, snell_time
-from .coefficients import _assemble_batch, _solve_batch
+from .coefficients import _solve_batch, _structural_entries
 from .errors import DomainError, NotConverged
 from .green import HalfspaceModel, Receiver
 
@@ -111,7 +111,8 @@ def _grid_solution(model: HalfspaceModel, q_width: float, n: int):
 
     Returns the radial nodes rho and their Gauss-Legendre weights (without
     the polar Jacobian), the four vertical slownesses and the real
-    coefficient matrix (n, 4), from one batched solve of n real systems.
+    coefficients (r, t_pf, t_ps, t_s), from one batched LAPACK solve of n
+    real systems.
     """
     rho, weight = _gauss_nodes(q_width, n)
     ac, pd = model.acoustic, model.poro
@@ -120,8 +121,9 @@ def _grid_solution(model: HalfspaceModel, q_width: float, n: int):
     kpf = np.sqrt(1.0 / pd.v_pf ** 2 + qq)
     kps = np.sqrt(1.0 / pd.v_ps ** 2 + qq)
     ks = np.sqrt(1.0 / pd.v_s ** 2 + qq)
-    a, b = _assemble_batch(ac, pd, qq, ka, kpf, kps, ks)
-    return rho, weight, ka, kpf, kps, ks, _solve_batch(a, b, rho, 0.0)
+    coef = _solve_batch(_structural_entries(ac, pd, qq, ka, kpf, kps, ks),
+                        rho, 0.0)
+    return rho, weight, ka, kpf, kps, ks, coef
 
 
 def _channel_parts(model: HalfspaceModel, receiver: Receiver, channel: str,
@@ -144,7 +146,7 @@ def _channel_parts(model: HalfspaceModel, receiver: Receiver, channel: str,
                             / (2.0 * ac.rho_plus * ac.v_plus ** 2))
         return dens, _EVEN, abs(z - h) * ka
 
-    refl, t_pf, t_ps, t_s = coef[:, 0], coef[:, 1], coef[:, 2], coef[:, 3]
+    refl, t_pf, t_ps, t_s = coef
     p = pd.p_mat
     depth_refl = (z + h) * ka
     depth_pf = h * ka - z * kpf
@@ -193,7 +195,18 @@ def _integrate(model: HalfspaceModel, receiver: Receiver, channel: str,
     off = math.hypot(receiver.x, receiver.y)
     osc = np.cos(s * qx * off) if parity == _EVEN else qx * np.sin(s * qx * off)
     angular = osc.sum(axis=1) * (0.5 * math.pi / n)
-    return float(np.sum(weight * rho * radial * angular)) / math.pi ** 2
+    total = float(np.sum(weight * rho * radial * angular))
+    # Round-off check on the cancellation of the sum.  |cos| <= 1 and
+    # |q_x sin(s q_x off)| <= rho min(1, s off rho) bound the sum of |terms|
+    # through the radial factors, without a second pass over the kernel.
+    size = env if parity == _EVEN else env * np.minimum(1.0, s * off * rho)
+    bound = 0.5 * math.pi * float(np.sum(weight * rho * size))
+    if np.finfo(float).eps * bound > 1e-6 * abs(total):
+        raise NotConverged(
+            f"channel {channel} at s={s}: the order-{n} sum is "
+            f"{abs(total) / bound:.3e} of the size of its terms, so "
+            f"round-off exceeds 1e-6 of the value")
+    return total / math.pi ** 2
 
 
 def laplace_reference(probe: LaplaceProbe, model: HalfspaceModel,
@@ -201,7 +214,10 @@ def laplace_reference(probe: LaplaceProbe, model: HalfspaceModel,
     """Oracle value of one channel at one real Laplace parameter.
 
     The order is doubled and the two values must agree to 1e-4 relative,
-    otherwise NotConverged; the doubled value is returned.
+    otherwise NotConverged; the doubled value is returned.  Each sum must
+    also keep its round-off below 1e-6 of its value (machine epsilon times
+    a bound on the sum of |terms| over |sum|), otherwise NotConverged: a
+    sum that cancels down to round-off can pass the doubling check.
     """
     coarse = _integrate(model, probe.receiver, channel, probe.s,
                         probe.q_width, probe.n)

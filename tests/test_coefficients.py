@@ -1,5 +1,6 @@
-"""Interface system assembly, the LAPACK solve and the closed-form solve of
-the trace engine, with their singularity gates."""
+"""Interface system assembly and its two solvers: the LAPACK solve of the
+oracle and the closed-form solve of the trace engine.  Both take the same
+entries and pass one gate function, so the gate test runs on both."""
 
 import warnings
 
@@ -32,8 +33,9 @@ def test_solve_matches_numpy(acoustic, poro, rng):
     kpf = np.sqrt(1.0 / poro.v_pf ** 2 + qq).astype(complex)
     kps = np.sqrt(1.0 / poro.v_ps ** 2 + qq).astype(complex)
     ks = np.sqrt(1.0 / poro.v_s ** 2 + qq).astype(complex)
-    a, b = _assemble_batch(acoustic, poro, qq.astype(complex), ka, kpf, kps, ks)
-    ours = _solve_batch(a, b, qx, qy)
+    args = (acoustic, poro, qq.astype(complex), ka, kpf, kps, ks)
+    ours = np.stack(_solve_batch(_structural_entries(*args), qx, qy), axis=1)
+    a, b = _assemble_batch(*args)
     ref = np.linalg.solve(a, b[..., None])[..., 0]
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(ours - ref)) <= 1e-13 * scale
@@ -80,22 +82,6 @@ def test_reflection_magnitude_bounded(acoustic, poro):
         assert abs(c.r) < 1.0
 
 
-def test_singular_matrix_raises():
-    a = np.ones((1, 4, 4), dtype=complex)
-    b = np.ones((1, 4), dtype=complex)
-    with pytest.raises(SingularSystem) as err:
-        _solve_batch(a, b, np.array([1e-3]), np.array([2e-3]))
-    assert "1e-03" in str(err.value) or "0.001" in str(err.value)
-
-
-def test_singular_error_carries_slowness():
-    a = np.zeros((1, 4, 4), dtype=complex)
-    b = np.ones((1, 4), dtype=complex)
-    with pytest.raises(SingularSystem) as err:
-        _solve_batch(a, b, np.array([7e-4]), np.array([0.0]))
-    assert err.value.q_x == pytest.approx(7e-4)
-
-
 # The admissible medium and slowness pair of the mixed-unit tests.
 MIXED_UNIT_PARAMS = PoroelasticParams(
     rho_s=2040.2182209046007, rho_f=1113.4460472353273,
@@ -120,28 +106,6 @@ def test_mixed_unit_system_is_not_singular(acoustic):
     assert resid <= 1e-10 * scale
 
 
-def test_ill_conditioned_system_raises():
-    """Two rows equal to 1e-15: LAPACK solves it, the equilibrated
-    condition bound rejects it."""
-    a = np.eye(4, dtype=complex)[np.newaxis].repeat(2, axis=0)
-    a[1, 0, 1] = a[1, 1, 0] = 1.0
-    a[1, 1, 1] = 1.0 + 1e-15
-    b = np.ones((2, 4), dtype=complex)
-    b[1, 1] = 0.0
-    with pytest.raises(SingularSystem, match="condition") as err:
-        _solve_batch(a, b, np.array([1e-4, 5e-4]), 2e-4)
-    assert err.value.q_x == pytest.approx(5e-4)
-
-
-def test_non_finite_system_raises():
-    a = np.eye(4, dtype=complex)[np.newaxis]
-    a[0, 2, 2] = np.nan
-    b = np.ones((1, 4), dtype=complex)
-    with pytest.raises(SingularSystem) as err:
-        _solve_batch(a, b, np.array([3e-4]), np.array([1e-4]))
-    assert err.value.q_y == pytest.approx(1e-4)
-
-
 def _closed_form_errors(args):
     """Relative residual of the closed-form solve on the 4x4 system and its
     distance from the LAPACK solve per system, as a fraction of max|x|.
@@ -149,10 +113,10 @@ def _closed_form_errors(args):
     args are the arguments of _structural_entries for a batch of systems.
     """
     a, b = _assemble_batch(*args)
+    entries = _structural_entries(*args)
     q = np.arange(a.shape[0], dtype=float)
-    ours = np.stack(_solve_structured(_structural_entries(*args), q, 0.0),
-                    axis=1)
-    ref = _solve_batch(a, b, q, 0.0)
+    ours = np.stack(_solve_structured(entries, q, 0.0), axis=1)
+    ref = np.stack(_solve_batch(entries, q, 0.0), axis=1)
     size = np.max(np.abs(ours), axis=1)
     resid = np.max(np.abs(np.einsum("mij,mj->mi", a, ours) - b), axis=1)
     scale = np.maximum(np.max(np.abs(b), axis=1),
@@ -219,24 +183,31 @@ Q_X = np.array([1e-4 + 0j, 5e-4 - 2e-4j])
 Q_Y = np.array([2e-4, 3e-4])
 
 
-@pytest.mark.parametrize("bad, fragment", [
+GATE_CASES = [
     # Row 2 vanishes: the determinant is exactly zero.
     (dict(a21=0.0, a22=0.0, a23=0.0), "exactly singular"),
     # M = [[1, 1, 0], [1, 1 + 2**-50, 0], [0, 0, 1]]: det = 2**-50, so the
     # solution is finite but the equilibrated condition bound about 1e15.
     (dict(a02=1.0, a21=1.0, a22=1.0 + 2.0 ** -50), "condition"),
     (dict(a22=np.nan), "solution not finite"),
-])
-def test_closed_form_gates(bad, fragment):
+]
+
+
+@pytest.mark.parametrize("solve, bad, fragment", [
+    pytest.param(solve, bad, fragment, id=f"bad{i}-{fragment}{suffix}")
+    for solve, suffix in ((_solve_structured, ""), (_solve_batch, "-lapack"))
+    for i, (bad, fragment) in enumerate(GATE_CASES)])
+def test_closed_form_gates(solve, bad, fragment):
     """Each gate raises SingularSystem at the second system, naming its
-    slowness pair, and none emits a numpy warning."""
+    slowness pair, and none emits a numpy warning; the closed form and the
+    LAPACK solve share the gates."""
     entries = _gate_entries(**bad)
     np.testing.assert_array_equal(
-        np.stack(_solve_structured(_gate_entries(), Q_X, Q_Y), axis=1),
+        np.stack(solve(_gate_entries(), Q_X, Q_Y), axis=1),
         [[1.0, 1.0, 0.0, 0.0]] * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularSystem, match=fragment) as err:
-            _solve_structured(entries, Q_X, Q_Y)
+            solve(entries, Q_X, Q_Y)
     assert err.value.q_x == Q_X[1] and err.value.q_y == Q_Y[1]
     assert f"q_x={Q_X[1]!r}, q_y={Q_Y[1]!r}" in str(err.value)

@@ -205,25 +205,33 @@ def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
 def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
     """The batched time loop gives the per-sample traces to 1e-12 of peak,
     on volume, head and mixed windows, one window per interface solve; the
-    engine solves in closed form and never calls the LAPACK solve."""
+    engine solves in closed form, never calls the LAPACK solve and passes
+    every solve through the shared singularity gates once."""
     from poroseis import coefficients, green
     from poroseis.cagniard import (arrival_times, reflected_branch,
                                    transmitted_branches)
 
     batches = []
+    gates = []
     lapack_calls = []
     solve = green._solve_structured
+    check = coefficients._check_solution
     lapack = coefficients._solve_batch
 
     def spy(entries, q_x, q_y):
         batches.append(np.size(q_x))
         return solve(entries, q_x, q_y)
 
+    def gate_spy(*args):
+        gates.append(np.size(args[2]))
+        return check(*args)
+
     def lapack_spy(*args):
         lapack_calls.append(args)
         return lapack(*args)
 
     monkeypatch.setattr(green, "_solve_structured", spy)
+    monkeypatch.setattr(coefficients, "_check_solution", gate_spy)
     for module in (coefficients, green):
         monkeypatch.setattr(module, "_solve_batch", lapack_spy, raising=False)
     cfg = QuadratureConfig(n=64)
@@ -243,8 +251,10 @@ def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
                                            n_channels)
         seen |= {(branch.kind, green._REGIME_NAMES[r]) for r in regime}
         batches.clear()
+        gates.clear()
         got = green._contour_trace(model, geom, branch, t, cfg, n_channels)
         assert set(batches) == {cfg.n}
+        assert gates == batches
         assert not lapack_calls
         peak = np.max(np.abs(expect), axis=0)
         assert np.all(np.abs(got - expect) <= 1e-12 * peak), branch.kind

@@ -10,7 +10,8 @@ from poroseis import oracle
 from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, arrival_times,
                                fictitious_arrival, reflected_branch,
                                transmitted_branches)
-from poroseis.coefficients import _assemble_batch, _solve_batch
+from poroseis import coefficients
+from poroseis.coefficients import _solve_batch, _structural_entries
 from poroseis.errors import DomainError, NotConverged
 from poroseis.green import HalfspaceModel, Receiver, incident_trace
 from poroseis.media import derive_poroelastic
@@ -107,6 +108,19 @@ def test_reference_flags_unconverged_grids(model, porous_receiver):
         laplace_reference(probe, model, "u_s_z")
 
 
+def test_reference_rejects_round_off_sums(model):
+    """At 2 km offset and s = 40 the reflected sum cancels to about 2e-11 of
+    its terms: the order doubling still agrees to 8e-5, but the value
+    wanders by up to 5e-4 relative across orders 240 to 3840, so the
+    round-off check must reject it.  An odd channel on the axis is zero by
+    symmetry, and its sum is not rejected."""
+    probe = default_probe(model, Receiver(2000.0, 0.0, 533.0), 40.0, n=240)
+    with pytest.raises(NotConverged, match="of the size of its terms"):
+        laplace_reference(probe, model, "xi_ref")
+    axis = default_probe(model, Receiver(0.0, 0.0, -533.0), 20.0, n=64)
+    assert laplace_reference(axis, model, "u_pf_x") == 0.0
+
+
 def test_incident_oracle_matches_analytic_transform(model, fluid_receiver):
     """The double integral reproduces the closed-form direct-wave transform.
 
@@ -199,7 +213,7 @@ def _cartesian_value(model, receiver, channel, s, q_width, n):
     ac, pd = model.acoustic, model.poro
     ks = [np.sqrt(1.0 / v ** 2 + rho * rho)
           for v in (ac.v_plus, pd.v_pf, pd.v_ps, pd.v_s)]
-    coef = _solve_batch(*_assemble_batch(ac, pd, rho * rho, *ks), qx, qy).real
+    coef = _solve_batch(_structural_entries(ac, pd, rho * rho, *ks), qx, qy)
     dens, parity, depth = oracle._channel_parts(model, receiver, channel,
                                                 rho, *ks, coef)
     off = math.hypot(receiver.x, receiver.y)
@@ -224,35 +238,49 @@ def test_polar_rule_matches_cartesian_grid(model, fluid_receiver,
 def test_grid_solution_solves_one_system_per_radial_node(model,
                                                          porous_receiver,
                                                          monkeypatch):
+    """One LAPACK solve of n systems per radial grid, and one pass through
+    the shared singularity gates."""
     sizes = []
+    gates = []
+    check = coefficients._check_solution
 
-    def spy(a, b, q_x, q_y):
-        sizes.append(len(a))
-        return _solve_batch(a, b, q_x, q_y)
+    def spy(entries, q_x, q_y):
+        sizes.append(len(q_x))
+        return _solve_batch(entries, q_x, q_y)
+
+    def gate_spy(*args):
+        gates.append(len(args[2]))
+        return check(*args)
 
     monkeypatch.setattr(oracle, "_solve_batch", spy)
+    monkeypatch.setattr(coefficients, "_check_solution", gate_spy)
     for n in (8, 240):
         sizes.clear()
+        gates.clear()
         oracle._grid_solution(model, 1e-3, n)
         assert sizes == [n]
+        assert gates == [n]
     sizes.clear()
+    gates.clear()
     probe = default_probe(model, porous_receiver, 20.0, n=64)
     laplace_reference(probe, model, "u_pf_z")
-    assert sizes == [64, 128]
+    assert sizes == gates == [64, 128]
 
 
 def test_grid_solution_is_real(model, monkeypatch):
     """Real slownesses give real systems, solved in real arithmetic."""
     dtypes = []
 
-    def spy(a, b, q_x, q_y):
-        dtypes.append((a.dtype, b.dtype))
-        return _solve_batch(a, b, q_x, q_y)
+    def spy(entries, q_x, q_y):
+        dtypes.append({np.asarray(v).dtype for v in entries})
+        return _solve_batch(entries, q_x, q_y)
 
     monkeypatch.setattr(oracle, "_solve_batch", spy)
     coef = oracle._grid_solution(model, 1e-3, 16)[-1]
-    assert dtypes == [(np.float64, np.float64)]
-    assert coef.dtype == np.float64 and coef.shape == (16, 4)
+    assert dtypes == [{np.dtype(np.float64)}]
+    assert len(coef) == 4
+    for column in coef:
+        assert column.dtype == np.float64 and column.shape == (16,)
 
 
 def test_default_probe_covers_the_slowest_wave(acoustic, poro_params,
