@@ -40,6 +40,9 @@ from .branch_math import branch_sqrt, fictitious_velocity
 from .errors import ConvergenceFailure, DomainError
 from .media import AcousticMedium, PoroelasticDerived
 
+# Largest accepted length, m.  The stationary-ray and contour solves square
+# lengths (sqrt(xi^2 + h^2)), which overflows above about 1e154 m.
+MAX_LENGTH_M = 1e100
 # Offsets below this fraction of the total vertical path have no usable head
 # segment; the window formulas divide by x.
 _MIN_HEAD_OFFSET = 1e-9
@@ -47,8 +50,11 @@ _MIN_HEAD_OFFSET = 1e-9
 _GAMMA_TOL = 1e-12
 # Residual target of the head-segment solve, scaled by (1 + t).
 _UPSILON_TOL = 1e-11
+# Cap on the square-root-free contour steps; points still off target after
+# it go to the damped Newton iteration.
+_CONTOUR_STEPS = 8
 # The stationary-ray Newton stops once the time slope is this many ulp of
-# 1/va + 1/vb, the size of its two terms; a step-size stop stalls near the
+# s_a + s_b (the slownesses above and below), the size of its two terms; a step-size stop stalls near the
 # root where rounding dominates the slope.  The cap only bounds the
 # bisection fallback.
 _XI_SLOPE_ULPS = 8.0
@@ -97,6 +103,9 @@ class Geometry:
             raise ValueError(f"source height must be positive, got {self.h}")
         if not self.x >= 0.0:
             raise ValueError(f"horizontal offset must be non-negative, got {self.x}")
+        if max(self.h, self.x, abs(self.z)) > MAX_LENGTH_M:
+            raise ValueError(f"lengths must not exceed {MAX_LENGTH_M:g} m, got "
+                             f"h={self.h}, x={self.x}, z={self.z}")
         object.__setattr__(self, "r", math.hypot(self.x, self.z + self.h))
 
 
@@ -134,18 +143,29 @@ def _depths(geom: Geometry, branch: WaveBranch) -> tuple[float, float]:
     return geom.h, -geom.z
 
 
-def snell_time(xi, q, geom: Geometry, branch: WaveBranch):
+def _slowness_sq(q, branch: WaveBranch):
+    """Squared slownesses 1/v^2 + q^2 above and below the interface.
+
+    They are the reciprocal squared fictitious velocities at transverse
+    slowness q, formed without a square root.
+    """
+    q2 = q * q
+    return 1.0 / branch.v_top ** 2 + q2, 1.0 / branch.v_bottom ** 2 + q2
+
+
+def snell_time(xi, q, geom: Geometry, branch: WaveBranch, slow=None):
     """Travel time of the broken ray crossing the interface at offset xi.
 
-    Uses the fictitious velocities at transverse slowness q.  For the
-    reflected wave the receiver is mirrored through the interface, which
-    turns the bounce into the same two-leg form.
+    Uses the fictitious velocities at transverse slowness q, or the
+    slownesses slow = (s_a, s_b) when already known.  For the reflected
+    wave the receiver is mirrored through the interface, which turns the
+    bounce into the same two-leg form.
     """
-    va = fictitious_velocity(branch.v_top, q)
-    vb = fictitious_velocity(branch.v_bottom, q)
+    if slow is None:
+        slow = np.sqrt(_slowness_sq(np.asarray(q, dtype=float), branch))
     xi = np.asarray(xi, dtype=float)
-    d = abs(geom.z)
-    t = np.hypot(xi, geom.h) / va + np.hypot(geom.x - xi, d) / vb
+    t = (np.sqrt(xi * xi + geom.h * geom.h) * slow[0]
+         + np.sqrt((geom.x - xi) ** 2 + geom.z * geom.z) * slow[1])
     if t.ndim == 0:
         return float(t)
     return t
@@ -193,52 +213,53 @@ def _xi_zero(q, geom: Geometry, branch: WaveBranch, start=None):
         return np.zeros_like(q)
     shape = q.shape
     q = q.ravel()
-    va = fictitious_velocity(branch.v_top, q)
-    vb = fictitious_velocity(branch.v_bottom, q)
-    h, d, x = geom.h, abs(geom.z), geom.x
+    sa, sb = np.sqrt(_slowness_sq(q, branch))
+    h, d, x = geom.h, geom.z, geom.x
     if start is None:
-        xi = np.full_like(q, x * h / (h + d))
+        xi = np.full_like(q, x * h / (h + abs(d)))
     else:
         xi = np.clip(np.broadcast_to(start, shape).ravel(), 0.0, x)
 
     def slope(xs, idx):
-        ia, ib = va[idx], vb[idx]
-        la = np.hypot(xs, h)
-        lb = np.hypot(x - xs, d)
-        g = xs / (ia * la) - (x - xs) / (ib * lb)
-        return g, h * h / (ia * la ** 3) + d * d / (ib * lb ** 3)
+        xb = x - xs
+        ra = 1.0 / (xs * xs + h * h)  # 1 / leg length squared
+        rb = 1.0 / (xb * xb + d * d)
+        ua = sa[idx] * np.sqrt(ra)
+        ub = sb[idx] * np.sqrt(rb)
+        return ua * xs - ub * xb, (h * h) * ua * ra + (d * d) * ub * rb
 
-    tol = _XI_SLOPE_ULPS * np.finfo(float).eps * (1.0 / va + 1.0 / vb)
+    tol = _XI_SLOPE_ULPS * np.finfo(float).eps * (sa + sb)
     _bracketed_newton(slope, xi, np.zeros_like(q), np.full_like(q, x), tol,
                       _XI_MAX_ITER)
     return xi.reshape(shape)
 
 
-def _t0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None):
+def _t0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None, slow=None):
     """Fictitious arrival time, vectorized over q.
 
-    xi0 is the stationary crossing at q when already known.
+    xi0 is the stationary crossing at q and slow the slownesses (s_a, s_b)
+    at q, when already known.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if branch.kind is WaveKind.REFLECTED:
         return geom.r * np.sqrt(1.0 / branch.v_top ** 2 + q * q)
     if xi0 is None:
         xi0 = _xi_zero(q, geom, branch)
-    return snell_time(xi0, q, geom, branch)
+    return snell_time(xi0, q, geom, branch, slow)
 
 
-def _p0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None):
+def _p0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None, slow=None):
     """Saddle slowness p0(q): the contour leaves -i*p0 at the arrival time.
 
-    xi0 is the stationary crossing at q when already known.
+    xi0 and slow as in _t0_vec.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if branch.kind is WaveKind.REFLECTED:
         return (geom.x / geom.r) * np.sqrt(1.0 / branch.v_top ** 2 + q * q)
     if xi0 is None:
         xi0 = _xi_zero(q, geom, branch)
-    va = fictitious_velocity(branch.v_top, q)
-    return xi0 / (va * np.hypot(xi0, geom.h))
+    sa = np.sqrt(_slowness_sq(q, branch)[0]) if slow is None else slow[0]
+    return xi0 * sa / np.sqrt(xi0 * xi0 + geom.h * geom.h)
 
 
 def fictitious_arrival(q: float, geom: Geometry, branch: WaveBranch) -> float:
@@ -440,12 +461,11 @@ def head_window(t: float, arrivals: ArrivalTimes, geom: Geometry,
 def phase_time(gamma_val, q, geom: Geometry, branch: WaveBranch):
     """Travel-time function T(gamma) whose level sets define the contours."""
     d_top, d_bot = _depths(geom, branch)
-    va = fictitious_velocity(branch.v_top, np.asarray(q, dtype=float))
-    vb = fictitious_velocity(branch.v_bottom, np.asarray(q, dtype=float))
+    sa2, sb2 = _slowness_sq(np.asarray(q, dtype=float), branch)
     g = np.asarray(gamma_val, dtype=complex)
-    out = d_top * branch_sqrt(1.0 / va ** 2 + g * g) + 1j * g * geom.x
+    out = d_top * branch_sqrt(sa2 + g * g) + 1j * g * geom.x
     if d_bot != 0.0:
-        out = out + d_bot * branch_sqrt(1.0 / vb ** 2 + g * g)
+        out = out + d_bot * branch_sqrt(sb2 + g * g)
     if np.ndim(gamma_val) == 0 and np.ndim(q) == 0:
         return complex(out)
     return out
@@ -453,7 +473,8 @@ def phase_time(gamma_val, q, geom: Geometry, branch: WaveBranch):
 
 def gamma(t: float, q: float, geom: Geometry, branch: WaveBranch) -> ContourPoint:
     """Volume-contour point at (t, q), for t past the fictitious arrival."""
-    val, dt, res = _gamma_vec(t, np.array([q], dtype=float), geom, branch)
+    val, dt, res, _, _ = _gamma_vec(t, np.array([q], dtype=float), geom,
+                                    branch)
     return ContourPoint(value=complex(val[0]), dt=complex(dt[0]),
                         residual=float(res[0]))
 
@@ -467,11 +488,24 @@ def _flat_q(q):
 def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
     """Volume-contour points for one time t and an array of q, with d/dt.
 
-    The reflected wave has a closed form.  Transmitted waves solve
-    T(gamma) = t by damped Newton iteration seeded at the saddle-point
-    expansion, with a planar residual search as a last resort.  xi0, the
-    stationary crossing at q (see _xi_zero), gives both the fictitious
-    arrival and the saddle; it is solved here when not given.
+    Returns gamma, dgamma/dt, the residual |T(gamma) - t| and the vertical
+    slownesses kappa_top and kappa_bottom at gamma on the physical branch,
+    so that callers need not take those square roots again.
+
+    The reflected wave has a closed form.  Transmitted waves start from the
+    saddle-point expansion and solve the polynomial system
+
+        k_a^2 = s_a^2 + gamma^2,  k_b^2 = s_b^2 + gamma^2,
+        d_top * k_a + d_bot * k_b + i * gamma * x = t
+
+    (s_a^2, s_b^2 = 1/v^2 + q^2) for gamma and both kappas at once, by
+    Newton steps about the saddle that take no square root (see
+    _contour_steps).  Each kappa is then taken once with branch_sqrt, and
+    only the points whose |T(gamma) - t| still misses the target go through
+    the damped Newton iteration on T from the saddle seed, with a planar
+    residual search as a last resort.  xi0, the stationary crossing at q
+    (see _xi_zero), gives both the fictitious arrival and the saddle; it is
+    solved here when not given.
     """
     t = float(t)
     q, shape = _flat_q(q)
@@ -479,6 +513,9 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
     x = geom.x
 
     if branch.kind is WaveKind.REFLECTED:
+        # rad cancels near the window end, where the traces depend on its
+        # rounding at about 1e-8 of peak; it keeps the rounding through
+        # fictitious_velocity so that the reflected traces do not move.
         va = fictitious_velocity(branch.v_top, q)
         r = geom.r
         rad = (t / r) ** 2 - 1.0 / va ** 2
@@ -492,21 +529,21 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
         kap = (d_top * t / r ** 2) - 1j * (x / r) * big_d
         dgdt = kap / (r * big_d)
         resid = np.abs(phase_time(gam, q, geom, branch) - t)
-        return gam.reshape(shape), dgdt.reshape(shape), resid.reshape(shape)
+        kap = kap.reshape(shape)
+        return (gam.reshape(shape), dgdt.reshape(shape), resid.reshape(shape),
+                kap, kap)
 
-    va = fictitious_velocity(branch.v_top, q)
-    vb = fictitious_velocity(branch.v_bottom, q)
     if xi0 is None:
         xi0 = _xi_zero(q, geom, branch)
     xi0 = np.ravel(xi0)
-    t0q = _t0_vec(q, geom, branch, xi0)
+    sa2, sb2 = _slowness_sq(q, branch)
+    slow = (np.sqrt(sa2), np.sqrt(sb2))
+    t0q = _t0_vec(q, geom, branch, xi0, slow)
     if np.any(t <= t0q):
         i = int(np.argmax(t <= t0q))
         raise DomainError(
             f"t={t} is not past the fictitious arrival {t0q[i]} at q={q[i]}")
-    p0 = _p0_vec(q, geom, branch, xi0)
-    sa2 = 1.0 / va ** 2
-    sb2 = 1.0 / vb ** 2
+    p0 = _p0_vec(q, geom, branch, xi0, slow)
 
     def kappas(g, i=slice(None)):
         return branch_sqrt(sa2[i] + g * g), branch_sqrt(sb2[i] + g * g)
@@ -517,19 +554,39 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
     def t_slope(g, ka, kb):
         return d_top * g / ka + d_bot * g / kb + 1j * x
 
-    # Saddle-point seed: T is quadratic in (gamma + i*p0) near the saddle
-    # with a real positive second derivative.
-    ka0 = np.sqrt(1.0 / va ** 2 - p0 ** 2)
-    kb0 = np.sqrt(1.0 / vb ** 2 - p0 ** 2)
-    curv = d_top / (va ** 2 * ka0 ** 3) + d_bot / (vb ** 2 * kb0 ** 3)
-    g = -1j * p0 + np.sqrt(2.0 * (t - t0q) / curv)
+    # Saddle-point seed: near the saddle T - t0 is a series in
+    # delta = gamma + i*p0 with a real positive second derivative and an
+    # imaginary third one (at the saddle each kappa has second and third
+    # derivatives s^2/k0^3 and 3i*p0*s^2/k0^5), inverted here to second
+    # order in delta.
+    ka0 = np.sqrt(sa2 - p0 * p0)
+    kb0 = np.sqrt(sb2 - p0 * p0)
+    ca = d_top * sa2 / (ka0 * ka0 * ka0)
+    cb = d_bot * sb2 / (kb0 * kb0 * kb0)
+    curv = ca + cb
+    delta = np.sqrt(2.0 * (t - t0q) / curv)
+    delta = delta * (1.0 - 0.5j * p0 * delta
+                     * (ca / (ka0 * ka0) + cb / (kb0 * kb0)) / curv)
+    g_seed = -1j * p0 + delta
 
     tol = _GAMMA_TOL * (1.0 + abs(t))
+    ka, kb = kappas(g_seed)
+    delta = _contour_steps(delta, ka - ka0, kb - kb0, p0, ka0, kb0,
+                           d_top, d_bot, x, t - t0q, tol)
+    g = delta - 1j * p0
     ka, kb = kappas(g)
     f = t_func(g, ka, kb) - t
-    # Only the points still above the residual target iterate; the vertical
-    # slownesses of each accepted iterate are kept for its next slope.
     idx = np.flatnonzero((np.abs(f) > tol) | ~np.isfinite(f))
+    if idx.size:
+        # Safeguard: the damped Newton iteration on T, restarted from the
+        # saddle seed so that it does not depend on the steps above.
+        # Only the points still above the residual target iterate; the
+        # vertical slownesses of each accepted iterate are kept for its
+        # next slope.
+        g[idx] = g_seed[idx]
+        ka[idx], kb[idx] = kappas(g[idx], idx)
+        f[idx] = t_func(g[idx], ka[idx], kb[idx]) - t
+        idx = idx[(np.abs(f[idx]) > tol) | ~np.isfinite(f[idx])]
     for _ in range(100):
         if idx.size == 0:
             break
@@ -577,7 +634,42 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
         f = t_func(g, ka, kb) - t
 
     dgdt = 1.0 / t_slope(g, ka, kb)
-    return g.reshape(shape), dgdt.reshape(shape), np.abs(f).reshape(shape)
+    return (g.reshape(shape), dgdt.reshape(shape), np.abs(f).reshape(shape),
+            ka.reshape(shape), kb.reshape(shape))
+
+
+def _contour_steps(delta, ua, ub, p0, ka0, kb0, d_top, d_bot, x, excess, tol):
+    """Square-root-free Newton steps for the contour, taken about the saddle.
+
+    The unknowns are delta = gamma + i*p0 and the increments u = kappa - k0
+    of both kappas over their saddle values.  With w = delta*(delta - 2i*p0)
+    they solve u*(2*k0 + u) = w for each kappa and
+    d_top*u_a + d_bot*u_b + i*x*delta = excess (= t - t0): the contour
+    equation less its saddle value, so that no term is of the size of t
+    and the rounding of a step shrinks with delta.  Each step updates the
+    increments at fixed delta, h = (u^2 + w)/(2*kappa), takes the residual
+    r = d_top*h_a + d_bot*h_b + i*x*delta - excess in seconds, steps delta
+    by -r/T'(gamma) and moves each increment on to h - (gamma/kappa)*step.
+    The steps stop once every |r| is below tol, the last one taken past
+    that; after _CONTOUR_STEPS the caller judges the points.  Returns delta.
+    """
+    ix, ip = 1j * x, 1j * p0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_CONTOUR_STEPS):
+            g = delta - ip
+            w = delta * (g - ip)
+            ia, ib = 1.0 / (ka0 + ua), 1.0 / (kb0 + ub)
+            ha = 0.5 * (ua * ua + w) * ia
+            hb = 0.5 * (ub * ub + w) * ib
+            r = d_top * ha + d_bot * hb + ix * delta - excess
+            step = r / (g * (d_top * ia + d_bot * ib) + ix)
+            g_step = g * step
+            delta = delta - step
+            ua = ha - g_step * ia
+            ub = hb - g_step * ib
+            if not np.any(np.abs(r) > tol):
+                break
+    return delta
 
 
 def _plane_search(t_scalar, t, center, tol, q, branch):

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cagniard import WaveKind
+from .cagniard import MAX_LENGTH_M, WaveKind
 from .errors import NonPhysical, NotConverged, PoroseisError
 from .green import (GreenTrace, HalfspaceModel, QuadratureConfig, Receiver,
                     branch_arrivals, green_trace, reflected_trace,
@@ -131,6 +131,14 @@ def _finite(val, name: str) -> float:
     return out
 
 
+def _length(val: float, name: str) -> float:
+    """val, rejected with a ConfigError above the largest accepted length."""
+    if abs(val) > MAX_LENGTH_M:
+        raise ConfigError(f"{name} must not exceed {MAX_LENGTH_M:g} m, "
+                          f"got {val!r}")
+    return val
+
+
 def load_config(cfg: dict) -> RunSetup:
     """Validate a configuration dictionary and build the run objects."""
     if not isinstance(cfg, dict):
@@ -170,7 +178,7 @@ def load_config(cfg: dict) -> RunSetup:
         raise ConfigError(str(exc)) from exc
 
     src_sec = _section(cfg, "source", {"height_m", "f0_hz", "gain"})
-    height = _num(src_sec, "source", "height_m")
+    height = _length(_num(src_sec, "source", "height_m"), "source height_m")
     if not height > 0.0:
         raise ConfigError(f"source height_m must be positive, got {height}")
     f0 = _num(src_sec, "source", "f0_hz")
@@ -185,7 +193,9 @@ def load_config(cfg: dict) -> RunSetup:
     for i, entry in enumerate(cfg["receivers"]):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ConfigError(f"receiver {i} must be [x, y, z] in metres")
-        x, y, z = (_finite(v, f"receiver {i} coordinate") for v in entry)
+        x, y, z = (_length(_finite(v, f"receiver {i} coordinate"),
+                           f"receiver {i} coordinate") for v in entry)
+        _length(math.hypot(x, y), f"receiver {i} offset")
         if abs(z) <= 1e-6:
             raise ConfigError(
                 f"receiver {i} sits on the interface (|z| <= 1e-6 m)")

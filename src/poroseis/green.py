@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cagniard
-from .branch_math import fictitious_velocity, kappa, kappa_below_cut
+from .branch_math import kappa, kappa_below_cut
 from .cagniard import (ArrivalTimes, Geometry, WaveBranch, WaveKind,
                        arrival_times, reflected_branch, transmitted_branches)
 from .coefficients import _solve_structured, _structural_entries
@@ -188,14 +188,16 @@ def _volume_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
                    t: float, q, xi0=None):
     """Volume integrand Re[W(gamma) * dgamma/dt], one channel row per node.
 
-    xi0 as in cagniard._gamma_vec.
+    xi0 as in cagniard._gamma_vec.  The contour solve hands over the
+    vertical slownesses of the fluid and of the branch's own wave, so only
+    the other porous ones are computed here.
     """
     ac, pd = model.acoustic, model.poro
-    gam, dgdt, _ = cagniard._gamma_vec(t, q, geom, branch, xi0)
-    k_plus = kappa(ac.v_plus, gam, q)
-    k_pf = kappa(pd.v_pf, gam, q)
-    k_ps = kappa(pd.v_ps, gam, q)
-    k_s = kappa(pd.v_s, gam, q)
+    gam, dgdt, _, k_plus, k_own = cagniard._gamma_vec(t, q, geom, branch, xi0)
+    # Matching on the speed also reuses k_own where two speeds coincide,
+    # since the slownesses then coincide as well.
+    k_pf, k_ps, k_s = (k_own if v == branch.v_bottom else kappa(v, gam, q)
+                       for v in (pd.v_pf, pd.v_ps, pd.v_s))
     qq = gam * gam + q * q
     coef = _solve_structured(
         _structural_entries(ac, pd, qq, k_plus, k_pf, k_ps, k_s), gam, q)

@@ -191,10 +191,17 @@ def _integrate(model: HalfspaceModel, receiver: Receiver, channel: str,
             f"q_width={q_width} too small: integrand at the rim is "
             f"{env[-1] / peak:.3e} of its peak")
     # Midpoint rule in phi on (0, pi/2); the sum carries its weight pi/(2n).
-    qx = np.outer(rho, np.cos((np.arange(n) + 0.5) * (0.5 * math.pi / n)))
+    # The phase s*q_x*off with q_x = rho*cos(phi) is built in one (n, n)
+    # buffer, which cos or sin then overwrites; odd parity sums
+    # q_x*sin(phase) as rho times a product with cos(phi).
+    cos_phi = np.cos((np.arange(n) + 0.5) * (0.5 * math.pi / n))
     off = math.hypot(receiver.x, receiver.y)
-    osc = np.cos(s * qx * off) if parity == _EVEN else qx * np.sin(s * qx * off)
-    angular = osc.sum(axis=1) * (0.5 * math.pi / n)
+    phase = np.multiply.outer((s * off) * rho, cos_phi)
+    if parity == _EVEN:
+        angular = np.cos(phase, out=phase).sum(axis=1)
+    else:
+        angular = rho * (np.sin(phase, out=phase) @ cos_phi)
+    angular *= 0.5 * math.pi / n
     total = float(np.sum(weight * rho * radial * angular))
     # Round-off check on the cancellation of the sum.  |cos| <= 1 and
     # |q_x sin(s q_x off)| <= rho min(1, s off rho) bound the sum of |terms|

@@ -107,8 +107,8 @@ def test_criterion_3_contour_residuals(model, acoustic, poro):
             if vol is not None and head is not None:
                 mixed_times += 1
             if vol is not None:
-                _, _, res = cagniard._gamma_vec(t, fracs * vol[1], geom,
-                                                branch)
+                _, _, res, _, _ = cagniard._gamma_vec(t, fracs * vol[1],
+                                                      geom, branch)
                 assert np.max(res) <= 1e-10
                 volume_points += res.size
             if head is not None:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poroseis.branch_math import kappa
 from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, _bracketed_newton,
-                               arrival_times, fictitious_arrival, gamma, head_window,
+                               _gamma_vec, arrival_times, fictitious_arrival,
+                               gamma, head_window,
                                phase_time, q0_of_t, q1_of_t,
                                reflected_branch, snell_time,
                                transmitted_branches, upsilon, volume_window)
@@ -53,6 +55,12 @@ def test_geometry_rejects_bad_layout():
         Geometry(h=-1.0, x=400.0, z=533.0)
     with pytest.raises(ValueError):
         Geometry(h=500.0, x=-4.0, z=533.0)
+    # Lengths whose squares overflow in the stationary-ray solve.
+    for layout in ((1e200, 400.0, 533.0), (500.0, 1e101, 533.0),
+                   (500.0, 400.0, -1e200)):
+        with pytest.raises(ValueError, match="must not exceed 1e\\+100 m"):
+            Geometry(*layout)
+    Geometry(h=1e100, x=1e100, z=-1e100)
 
 
 def test_side_checks(acoustic, branches, fluid_geom, porous_geom):
@@ -233,6 +241,96 @@ def test_contour_launches_at_saddle(branches, porous_geom):
              - (-1j) * p0)
     assert d2 < d1
     assert d2 == pytest.approx(d1 / 4.0, rel=0.2)
+
+
+def _sin_nodes(t, geom, branch, n=2000):
+    """The quadrature's sin-substituted nodes of the volume window at t."""
+    q0 = q0_of_t(t, geom, branch)
+    return q0 * np.sin((np.arange(n) + 0.5) * (0.5 * math.pi / n))
+
+
+def _polished_roots(t, q, geom, branch, g):
+    """Three Newton steps on T(gamma) = t in extended precision from g."""
+    ld = np.longdouble
+    x, d_top, d_bot = ld(geom.x), ld(geom.h), ld(-geom.z)
+    q = q.astype(ld)
+    sa2 = 1 / ld(branch.v_top) ** 2 + q * q
+    sb2 = 1 / ld(branch.v_bottom) ** 2 + q * q
+    g = g.astype(np.clongdouble)
+    for _ in range(3):
+        ka, kb = np.sqrt(sa2 + g * g), np.sqrt(sb2 + g * g)
+        f = d_top * ka + d_bot * kb + 1j * x * g - ld(t)
+        g = g - f / (g * (d_top / ka + d_bot / kb) + 1j * x)
+    return g
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("excess", [1e-4, 3e-3, 5e-2])
+def test_contour_is_accurate_next_to_the_saddle(branches, porous_geom, excess):
+    """gamma on the quadrature nodes agrees to 1e-10 relative with roots
+    polished in extended precision, also just past the arrival, where
+    T'(gamma) is small and a small residual alone leaves gamma loose."""
+    for branch in branches.values():
+        t = fictitious_arrival(0.0, porous_geom, branch) + excess
+        q = _sin_nodes(t, porous_geom, branch)
+        g, _, _, _, _ = _gamma_vec(t, q, porous_geom, branch)
+        ref = _polished_roots(t, q, porous_geom, branch, g)
+        err = np.abs(g - ref) / np.abs(ref)
+        assert float(np.max(err)) <= 1e-10, branch.kind
+
+
+def test_damped_newton_safeguard_solves_the_contour(branches, porous_geom,
+                                                    monkeypatch):
+    """With no square-root-free step allowed, every node goes through the
+    damped Newton safeguard, which still meets the residual target and
+    finds the same roots."""
+    from poroseis import cagniard
+
+    for branch in branches.values():
+        t = fictitious_arrival(0.0, porous_geom, branch) + 3e-3
+        q = _sin_nodes(t, porous_geom, branch, n=64)
+        fast = _gamma_vec(t, q, porous_geom, branch)
+        with monkeypatch.context() as patch:
+            patch.setattr(cagniard, "_CONTOUR_STEPS", 0)
+            safe = _gamma_vec(t, q, porous_geom, branch)
+        assert np.max(safe[2]) <= 1e-12 * (1.0 + t)
+        assert np.max(np.abs(safe[0] - fast[0]) / np.abs(fast[0])) <= 1e-7
+        for k_safe, k_fast in zip(safe[3:], fast[3:]):
+            assert np.max(np.abs(k_safe - k_fast) / np.abs(k_fast)) <= 1e-7
+
+
+def test_handed_over_kappas_lie_on_the_physical_rim(acoustic, branches,
+                                                    fluid_geom, porous_geom):
+    """The vertical slownesses _gamma_vec returns with gamma agree with
+    branch_math.kappa at that gamma to 4 ulp, for every branch of the
+    fixture and of 40 random media.
+
+    The ulp is that of the largest term of the argument 1/v^2 + gamma^2 +
+    q^2: near a branch point the argument cancels, and its rounding in
+    either summation order then shows in kappa."""
+    from test_random_media import random_setup
+
+    from poroseis.green import _geometry_for
+
+    cases = [(fluid_geom, reflected_branch(acoustic))]
+    cases += [(porous_geom, b) for b in branches.values()]
+    for seed in range(40):
+        model, receiver = random_setup(seed, acoustic)
+        geom = _geometry_for(model, receiver)
+        cases += [(geom, b) for b in
+                  transmitted_branches(model.acoustic, model.poro).values()]
+    for geom, branch in cases:
+        for excess in (1e-3, 0.1):
+            t = fictitious_arrival(0.0, geom, branch) * (1.0 + excess)
+            q = _sin_nodes(t, geom, branch, n=16)
+            g, _, _, k_top, k_bot = _gamma_vec(t, q, geom, branch)
+            for k, v in ((k_top, branch.v_top), (k_bot, branch.v_bottom)):
+                ref = kappa(v, g, q)
+                size = 1.0 / v ** 2 + np.abs(g) ** 2 + q * q
+                assert np.all(np.abs(k - ref) <= 4 * np.finfo(float).eps
+                              * np.abs(ref) * size / np.abs(ref) ** 2), \
+                    (branch.kind, excess)
 
 
 def test_gamma_rejects_pre_arrival_times(branches, porous_geom):

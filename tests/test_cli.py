@@ -62,6 +62,15 @@ def test_fixture_command_prints_loadable_config(capsys):
      "t_end_s must be a finite number"),
     (lambda c: c["receivers"].__setitem__(0, [float("inf"), 0.0, 533.0]),
      "receiver 0 coordinate must be a finite number, got inf"),
+    # Lengths whose squares would overflow in the contour solves.
+    (lambda c: c["source"].update(height_m=1e200),
+     "source height_m must not exceed 1e\\+100 m, got 1e\\+200"),
+    (lambda c: c["receivers"].__setitem__(1, [400.0, 0.0, -1e101]),
+     "receiver 1 coordinate must not exceed 1e\\+100 m"),
+    (lambda c: c["receivers"].__setitem__(0, [0.0, -1e200, 533.0]),
+     "receiver 0 coordinate must not exceed"),
+    (lambda c: c["receivers"].__setitem__(0, [1e100, 1e100, 533.0]),
+     "receiver 0 offset must not exceed"),
 ])
 def test_config_rejections(mutate, fragment, tmp_path):
     cfg = fixture_config()

@@ -264,6 +264,35 @@ def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
             (WaveKind.TRANSMITTED_PS, "mixed")} <= seen
 
 
+def test_volume_nodes_take_few_complex_square_roots(model, porous_receiver,
+                                                   monkeypatch):
+    """The contour hands its vertical slownesses to the interface solve:
+    each volume node of the porous receiver takes six complex square roots
+    (the two kappas at the seed and at the root, and the two porous ones
+    the contour does not carry), not one pair per Newton step."""
+    from poroseis import branch_math, cagniard
+
+    counts = {"roots": 0, "nodes": 0}
+    sqrt = branch_math.branch_sqrt
+    solve = cagniard._gamma_vec
+
+    def counted_sqrt(arg):
+        counts["roots"] += np.size(arg)
+        return sqrt(arg)
+
+    def counted_solve(t, q, *args):
+        counts["nodes"] += np.size(q)
+        return solve(t, q, *args)
+
+    monkeypatch.setattr(branch_math, "branch_sqrt", counted_sqrt)
+    monkeypatch.setattr(cagniard, "branch_sqrt", counted_sqrt)
+    monkeypatch.setattr(cagniard, "_gamma_vec", counted_solve)
+    t = np.arange(0.5, 0.905, 1.0 / 600.0)
+    green_trace(model, porous_receiver, t, QuadratureConfig(n=64))
+    assert counts["nodes"] > 0
+    assert counts["roots"] <= 6 * counts["nodes"]
+
+
 def test_window_failure_names_its_sample(model, porous_receiver, monkeypatch):
     """A non-finite node of one window is reported with the t, regime and
     branch of the sample it belongs to."""
@@ -274,11 +303,11 @@ def test_window_failure_names_its_sample(model, porous_receiver, monkeypatch):
     solve = cagniard._gamma_vec
 
     def poisoned(t_arr, q, *args):
-        gam, dgdt, res = solve(t_arr, q, *args)
+        gam, dgdt, res, k_top, k_bot = solve(t_arr, q, *args)
         hit = np.flatnonzero(np.broadcast_to(t_arr, np.shape(q)) == target)
         if hit.size:
             dgdt[hit[3]] = np.nan
-        return gam, dgdt, res
+        return gam, dgdt, res, k_top, k_bot
 
     monkeypatch.setattr(cagniard, "_gamma_vec", poisoned)
     with pytest.raises(NonFiniteIntegrand) as info:
