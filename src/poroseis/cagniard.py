@@ -51,7 +51,7 @@ _GAMMA_TOL = 1e-12
 # Residual target of the head-segment solve, scaled by (1 + t).
 _UPSILON_TOL = 1e-11
 # Cap on the square-root-free contour steps; points still off target after
-# it go to the damped Newton iteration.
+# it go to the planar residual search (_plane_search), the one fallback.
 _CONTOUR_STEPS = 8
 # The stationary-ray Newton stops once the time slope is this many ulp of
 # s_a + s_b (the slownesses above and below), the size of its two terms; a step-size stop stalls near the
@@ -242,7 +242,7 @@ def _t0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None, slow=None):
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if branch.kind is WaveKind.REFLECTED:
-        return geom.r * np.sqrt(1.0 / branch.v_top ** 2 + q * q)
+        return geom.r * np.sqrt(_slowness_sq(q, branch)[0])
     if xi0 is None:
         xi0 = _xi_zero(q, geom, branch)
     return snell_time(xi0, q, geom, branch, slow)
@@ -255,7 +255,7 @@ def _p0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None, slow=None):
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if branch.kind is WaveKind.REFLECTED:
-        return (geom.x / geom.r) * np.sqrt(1.0 / branch.v_top ** 2 + q * q)
+        return (geom.x / geom.r) * np.sqrt(_slowness_sq(q, branch)[0])
     if xi0 is None:
         xi0 = _xi_zero(q, geom, branch)
     sa = np.sqrt(_slowness_sq(q, branch)[0]) if slow is None else slow[0]
@@ -365,8 +365,7 @@ def _q0_vec(t, geom: Geometry, branch: WaveBranch):
 
     def excess(q, idx):
         xs = xi[idx] = _xi_zero(q, geom, branch, start=xi[idx])
-        sa = np.sqrt(1.0 / branch.v_top ** 2 + q * q)
-        sb = np.sqrt(1.0 / branch.v_bottom ** 2 + q * q)
+        sa, sb = np.sqrt(_slowness_sq(q, branch))
         la = np.hypot(xs, h)
         lb = np.hypot(geom.x - xs, d)
         return la * sa + lb * sb - t[idx], q * (la / sa + lb / sb)
@@ -500,12 +499,12 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
 
     (s_a^2, s_b^2 = 1/v^2 + q^2) for gamma and both kappas at once, by
     Newton steps about the saddle that take no square root (see
-    _contour_steps).  Each kappa is then taken once with branch_sqrt, and
-    only the points whose |T(gamma) - t| still misses the target go through
-    the damped Newton iteration on T from the saddle seed, with a planar
-    residual search as a last resort.  xi0, the stationary crossing at q
-    (see _xi_zero), gives both the fictitious arrival and the saddle; it is
-    solved here when not given.
+    _contour_steps).  Each kappa is then taken once with branch_sqrt.  The
+    one fallback: points whose |T(gamma) - t| still misses the target go to
+    the derivative-free planar residual search _plane_search from the
+    saddle seed, which raises ConvergenceFailure where it stalls.  xi0, the
+    stationary crossing at q (see _xi_zero), gives both the fictitious
+    arrival and the saddle; it is solved here when not given.
     """
     t = float(t)
     q, shape = _flat_q(q)
@@ -545,8 +544,8 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
             f"t={t} is not past the fictitious arrival {t0q[i]} at q={q[i]}")
     p0 = _p0_vec(q, geom, branch, xi0, slow)
 
-    def kappas(g, i=slice(None)):
-        return branch_sqrt(sa2[i] + g * g), branch_sqrt(sb2[i] + g * g)
+    def kappas(g):
+        return branch_sqrt(sa2 + g * g), branch_sqrt(sb2 + g * g)
 
     def t_func(g, ka, kb):
         return d_top * ka + d_bot * kb + 1j * g * x
@@ -576,43 +575,6 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
     g = delta - 1j * p0
     ka, kb = kappas(g)
     f = t_func(g, ka, kb) - t
-    idx = np.flatnonzero((np.abs(f) > tol) | ~np.isfinite(f))
-    if idx.size:
-        # Safeguard: the damped Newton iteration on T, restarted from the
-        # saddle seed so that it does not depend on the steps above.
-        # Only the points still above the residual target iterate; the
-        # vertical slownesses of each accepted iterate are kept for its
-        # next slope.
-        g[idx] = g_seed[idx]
-        ka[idx], kb[idx] = kappas(g[idx], idx)
-        f[idx] = t_func(g[idx], ka[idx], kb[idx]) - t
-        idx = idx[(np.abs(f[idx]) > tol) | ~np.isfinite(f[idx])]
-    for _ in range(100):
-        if idx.size == 0:
-            break
-        g_i, f_i = g[idx], f[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f_i / t_slope(g_i, ka[idx], kb[idx])
-        step = np.where(np.isfinite(step), step, 0.0)
-        g_new = g_i - step
-        ka_new, kb_new = kappas(g_new, idx)
-        f_new = t_func(g_new, ka_new, kb_new) - t
-        worse = np.abs(f_new) > np.abs(f_i)
-        for _ in range(50):
-            if not np.any(worse):
-                break
-            step = np.where(worse, 0.5 * step, step)
-            g_new = np.where(worse, g_i - step, g_new)
-            ka_w, kb_w = kappas(g_new, idx)
-            ka_new = np.where(worse, ka_w, ka_new)
-            kb_new = np.where(worse, kb_w, kb_new)
-            f_new = np.where(worse, t_func(g_new, ka_w, kb_w) - t, f_new)
-            worse = worse & (np.abs(f_new) > np.abs(f_i))
-        g[idx] = g_new
-        f[idx] = f_new
-        ka[idx] = ka_new
-        kb[idx] = kb_new
-        idx = idx[(np.abs(f_new) > tol) | ~np.isfinite(f_new)]
 
     # Roots come in pairs (g, -conj(g)); keep the one in the right half.
     flip = g.real < -1e-13 * np.abs(g)
@@ -621,6 +583,9 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
         ka, kb = kappas(g)
         f = t_func(g, ka, kb) - t
 
+    # Points the steps left off target are searched for from the saddle
+    # seed, so that the search does not depend on the steps and a
+    # non-finite step iterate cannot become its centre.
     bad = (np.abs(f) > tol) | ~np.isfinite(f)
     if np.any(bad):
         for i in np.flatnonzero(bad):
@@ -629,7 +594,7 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
                     d_top * branch_sqrt(float(sa2[i]) + gc * gc)
                     + d_bot * branch_sqrt(float(sb2[i]) + gc * gc)
                     + 1j * gc * x),
-                t, complex(g[i]), tol, float(q[i]), branch)
+                t, complex(g_seed[i]), tol, float(q[i]), branch)
         ka, kb = kappas(g)
         f = t_func(g, ka, kb) - t
 
@@ -734,10 +699,7 @@ def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float,
     q, shape = _flat_q(q)
     d_top, d_bot = _depths(geom, branch)
     x = geom.x
-    va = fictitious_velocity(branch.v_top, q)
-    vb = fictitious_velocity(branch.v_bottom, q)
-    sa2 = 1.0 / va ** 2
-    sb2 = 1.0 / vb ** 2
+    sa2, sb2 = _slowness_sq(q, branch)
     tip = np.sqrt(1.0 / v_max ** 2 + q * q)
     p0 = _p0_vec(q, geom, branch, None if xi0 is None else np.ravel(xi0))
 

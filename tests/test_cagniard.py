@@ -14,7 +14,7 @@ from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, _bracketed_newton
                                phase_time, q0_of_t, q1_of_t,
                                reflected_branch, snell_time,
                                transmitted_branches, upsilon, volume_window)
-from poroseis.errors import DomainError
+from poroseis.errors import ConvergenceFailure, DomainError
 
 
 @pytest.fixture(scope="module")
@@ -280,24 +280,48 @@ def test_contour_is_accurate_next_to_the_saddle(branches, porous_geom, excess):
         assert float(np.max(err)) <= 1e-10, branch.kind
 
 
-def test_damped_newton_safeguard_solves_the_contour(branches, porous_geom,
-                                                    monkeypatch):
-    """With no square-root-free step allowed, every node goes through the
-    damped Newton safeguard, which still meets the residual target and
+def _nan_steps(delta, *args):
+    return np.full_like(delta, complex(np.nan, np.nan))
+
+
+@pytest.mark.parametrize("patch_name, value", [
+    ("_CONTOUR_STEPS", 0),          # no step taken: the seed is off target
+    ("_contour_steps", _nan_steps),  # steps that return non-finite deltas
+], ids=["no_steps", "nan_steps"])
+def test_contour_fallback_solves_the_contour(branches, porous_geom,
+                                             monkeypatch, patch_name, value):
+    """When the square-root-free steps leave every node off target, the
+    planar search from the saddle seed still meets the residual target and
     finds the same roots."""
     from poroseis import cagniard
 
     for branch in branches.values():
         t = fictitious_arrival(0.0, porous_geom, branch) + 3e-3
-        q = _sin_nodes(t, porous_geom, branch, n=64)
+        q = _sin_nodes(t, porous_geom, branch, n=16)
         fast = _gamma_vec(t, q, porous_geom, branch)
         with monkeypatch.context() as patch:
-            patch.setattr(cagniard, "_CONTOUR_STEPS", 0)
+            patch.setattr(cagniard, patch_name, value)
             safe = _gamma_vec(t, q, porous_geom, branch)
         assert np.max(safe[2]) <= 1e-12 * (1.0 + t)
         assert np.max(np.abs(safe[0] - fast[0]) / np.abs(fast[0])) <= 1e-7
         for k_safe, k_fast in zip(safe[3:], fast[3:]):
             assert np.max(np.abs(k_safe - k_fast) / np.abs(k_fast)) <= 1e-7
+
+
+def test_unsolved_contour_names_its_node(branches, porous_geom, monkeypatch):
+    """A node the contour cannot bring to its residual target raises
+    ConvergenceFailure carrying the time, slowness and branch."""
+    from poroseis import cagniard
+
+    branch = branches[WaveKind.TRANSMITTED_PF]
+    t = fictitious_arrival(0.0, porous_geom, branch) + 3e-3
+    q = _sin_nodes(t, porous_geom, branch, n=2)
+    monkeypatch.setattr(cagniard, "_GAMMA_TOL", 0.0)
+    with pytest.raises(ConvergenceFailure) as info:
+        _gamma_vec(t, q, porous_geom, branch)
+    assert info.value.t == t
+    assert info.value.q in q.tolist()
+    assert info.value.branch == branch.kind.value
 
 
 def test_handed_over_kappas_lie_on_the_physical_rim(acoustic, branches,
