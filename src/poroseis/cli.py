@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import hashlib
 import json
 import math
@@ -54,6 +55,11 @@ _VERIFY_SPAN = 34.0
 _VERIFY_MAX_SAMPLES = 10 ** 6
 _VERIFY_FLUID = ("xi_ref", "u_ref_x", "u_ref_z")
 _VERIFY_POROUS = ("u_pf_x", "u_pf_z", "u_ps_x", "u_ps_z", "u_s_x", "u_s_z")
+# glibc mallopt parameters (malloc.h) and the values _keep_freed_memory sets.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD_BYTES = 64 << 20
+_MMAP_THRESHOLD_BYTES = 32 << 20
 
 
 def fixture_config() -> dict:
@@ -347,7 +353,37 @@ def _compute_receiver(setup: RunSetup, rec: Receiver):
     return green, seis
 
 
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory in the process instead of returning it.
+
+    Every time sample's window allocates and frees 1-2 MiB of numpy
+    temporaries.  glibc trims that memory back to the kernel once more than
+    128 KiB lie free at the top of the heap, and the next window faults the
+    same pages in again.  A 64 MiB trim threshold keeps them.  Setting it
+    also switches off glibc's dynamic mmap threshold, which would leave
+    every block above 128 KiB (the oracle's (480, 480) phase buffers) to a
+    fresh mmap per call, so the mmap threshold is raised to 32 MiB with it.
+    Where the C library has no ``mallopt`` (not glibc) this does nothing.
+    It changes no arithmetic.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def run_compute(setup: RunSetup, threads: int = 1, quiet: bool = False) -> int:
+    """Compute and write every receiver's traces; return the exit code.
+
+    The process keeps freed memory from here on (``_keep_freed_memory``).
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    _keep_freed_memory()
     _warn_short_window(setup)
     setup.out_dir.mkdir(parents=True, exist_ok=True)
     results: list = [None] * len(setup.receivers)
@@ -398,6 +434,11 @@ def verify_grid(model: HalfspaceModel, receiver: Receiver, kind: WaveKind,
 
 
 def run_verify(setup: RunSetup) -> int:
+    """Compare trace transforms with the oracle; return the exit code.
+
+    The process keeps freed memory from here on (``_keep_freed_memory``).
+    """
+    _keep_freed_memory()
     if not setup.verify_s:
         print("config error: verify.s_values_per_s is empty", file=sys.stderr)
         return 2
@@ -457,6 +498,17 @@ def run_verify(setup: RunSetup) -> int:
     return 0
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="poroseis",
@@ -465,7 +517,7 @@ def main(argv=None) -> int:
 
     p_compute = sub.add_parser("compute", help="compute seismogram traces")
     p_compute.add_argument("--config", required=True, help="JSON configuration")
-    p_compute.add_argument("--threads", type=int, default=1,
+    p_compute.add_argument("--threads", type=_thread_count, default=1,
                            help="receivers computed in parallel")
     p_compute.add_argument("--quiet", action="store_true",
                            help="suppress per-receiver progress lines")

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from poroseis.cli import fixture_config
+from poroseis.cli import _keep_freed_memory, fixture_config
 from poroseis.green import HalfspaceModel, QuadratureConfig, Receiver
 from poroseis.media import AcousticMedium, PoroelasticParams, derive_poroelastic
+
+
+def pytest_configure(config):
+    # The suite runs the engine in-process, so it keeps freed memory as the
+    # CLI does; this changes run time only, never a result.
+    _keep_freed_memory()
 
 
 @pytest.fixture(scope="session")

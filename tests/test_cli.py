@@ -2,15 +2,22 @@
 
 import copy
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poroseis
+from poroseis import cli
 from poroseis.cli import (ConfigError, fixture_config, load_config, main,
                           run_compute, run_verify, verify_grid, _media_hash,
                           _time_grid)
 from poroseis.errors import DomainError, NotConverged
-from poroseis.green import ReflectedChannels
+from poroseis.green import ReflectedChannels, branch_arrivals
 
 
 def small_config(out_dir, **overrides):
@@ -160,6 +167,103 @@ def test_compute_is_deterministic_and_thread_safe(tmp_path):
     assert run_compute(setup, threads=2, quiet=True) == 0
     second = [(out / f"receiver_{i:03d}.csv").read_bytes() for i in (1, 2)]
     assert first == second
+
+
+@pytest.mark.parametrize("threads, fragment", [
+    ("0", "must be at least 1, got 0"),
+    ("-1", "must be at least 1, got -1"),
+    ("two", "must be an integer, got 'two'"),
+])
+def test_compute_rejects_bad_thread_counts(threads, fragment, tmp_path,
+                                           capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(tmp_path / "run")))
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--config", str(cfg_path), "--threads", threads])
+    assert exc.value.code == 2
+    assert f"--threads: {fragment}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -8])
+def test_run_compute_rejects_fewer_than_one_thread(threads, tmp_path):
+    setup = load_config(small_config(tmp_path / "run"))
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_compute(setup, threads=threads, quiet=True)
+    assert not (tmp_path / "run").exists()
+
+
+# One child process: run_compute on the fixture porous receiver up to
+# t_end_s, printing the minor page faults the call took.
+_FAULT_PROBE = """
+import resource, sys
+from poroseis.cli import fixture_config, load_config, run_compute
+cfg = fixture_config()
+cfg["receivers"] = [[400.0, 0.0, -533.0]]
+cfg["time"]["t_end_s"] = float(sys.argv[1])
+cfg["output"]["directory"] = sys.argv[2]
+setup = load_config(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert run_compute(setup, quiet=True) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the fault policy is set through glibc's mallopt")
+def test_compute_keeps_freed_memory(tmp_path):
+    """Windows reuse the memory freed by the window before them.
+
+    Without the policy glibc hands each n = 2000 window's temporaries back
+    to the kernel and the next window faults them in again, hundreds of
+    faults per window.  With it the whole call takes a few hundred.
+    """
+    t_end = 0.52  # 55 live P-fast windows, no other branch live yet
+    cfg = fixture_config()
+    cfg["receivers"] = [[400.0, 0.0, -533.0]]
+    cfg["time"]["t_end_s"] = t_end
+    setup = load_config(cfg)
+    t = _time_grid(setup)
+    live = sum(int(np.count_nonzero(t > (a.t_h1 if a.head_exists else a.t0)))
+               for a in branch_arrivals(setup.model, setup.receivers[0])
+               .values())
+    assert live > 0
+
+    # A fresh process, so that neither the suite's own allocator settings
+    # nor the caller's MALLOC_* variables decide the outcome.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    src = str(Path(poroseis.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, repr(t_end), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout.split()[-1])
+    assert faults < 20 * live, f"{faults} minor faults for {live} windows"
+
+
+def test_compute_and_verify_set_the_memory_policy(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+    setup = load_config(small_config(tmp_path / "run"))
+    assert run_compute(setup, quiet=True) == 0
+    assert calls == [1]
+    setup = _verify_setup(tmp_path, monkeypatch)
+    monkeypatch.setattr("poroseis.cli.laplace_reference",
+                        lambda probe, model, name, **kw: 1.0)
+    assert run_verify(setup) == 0
+    assert calls == [1, 1]
+
+
+def test_memory_policy_is_a_no_op_without_mallopt(monkeypatch, capsys):
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", NoMallopt)
+    cli._keep_freed_memory()
+    assert capsys.readouterr() == ("", "")
 
 
 def test_compute_json_and_green_outputs(tmp_path):
