@@ -174,19 +174,23 @@ def snell_time(xi, q, geom: Geometry, branch: WaveBranch, slow=None):
 def _bracketed_newton(func, x, lo, hi, tol, max_iter):
     """Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4), vectorized.
 
-    func(x_sub, idx) returns value and slope of an increasing function at
-    the points idx; only points with |value| > tol[idx] iterate.  The sign
-    of the value keeps the bracket (lo, hi), and a step leaving it (which
-    covers non-finite steps and non-positive slopes) bisects instead.
+    func(x_sub, idx) returns the value of an increasing function at the
+    points idx and a function slope(live) that gives its slope at the points
+    idx[live].  Only points with |value| > tol[idx] iterate, and slope is
+    called only while some do, so the last evaluation of a solve takes no
+    slope.  The sign of the value keeps the bracket (lo, hi), and a step
+    leaving it (which covers non-finite steps and non-positive slopes)
+    bisects instead.
     x, lo and hi are updated in place; x is returned and the caller judges it.
     """
     idx = np.arange(x.size)
     for _ in range(max_iter):
-        f, df = func(x[idx], idx)
+        f, slope = func(x[idx], idx)
         live = np.abs(f) > tol[idx]
         if not np.any(live):
             break
-        idx, f, df = idx[live], f[live], df[live]
+        df = slope(live)
+        idx, f = idx[live], f[live]
         xs = x[idx]
         lo_i = np.where(f < 0.0, xs, lo[idx])
         hi_i = np.where(f > 0.0, xs, hi[idx])
@@ -226,7 +230,8 @@ def _xi_zero(q, geom: Geometry, branch: WaveBranch, start=None):
         rb = 1.0 / (xb * xb + d * d)
         ua = sa[idx] * np.sqrt(ra)
         ub = sb[idx] * np.sqrt(rb)
-        return ua * xs - ub * xb, (h * h) * ua * ra + (d * d) * ub * rb
+        return ua * xs - ub * xb, lambda live: (
+            (h * h) * ua * ra + (d * d) * ub * rb)[live]
 
     tol = _XI_SLOPE_ULPS * np.finfo(float).eps * (sa + sb)
     _bracketed_newton(slope, xi, np.zeros_like(q), np.full_like(q, x), tol,
@@ -368,7 +373,8 @@ def _q0_vec(t, geom: Geometry, branch: WaveBranch):
         sa, sb = np.sqrt(_slowness_sq(q, branch))
         la = np.hypot(xs, h)
         lb = np.hypot(geom.x - xs, d)
-        return la * sa + lb * sb - t[idx], q * (la / sa + lb / sb)
+        return la * sa + lb * sb - t[idx], \
+            lambda live: (q * (la / sa + lb / sb))[live]
 
     q0 = _bracketed_newton(excess, np.full_like(t, 0.5 * hi_val),
                            np.zeros_like(t), np.full_like(t, hi_val),
@@ -472,10 +478,10 @@ def phase_time(gamma_val, q, geom: Geometry, branch: WaveBranch):
 
 def gamma(t: float, q: float, geom: Geometry, branch: WaveBranch) -> ContourPoint:
     """Volume-contour point at (t, q), for t past the fictitious arrival."""
-    val, dt, res, _, _ = _gamma_vec(t, np.array([q], dtype=float), geom,
-                                    branch)
+    val, dt, _, _ = _gamma_vec(t, np.array([q], dtype=float), geom, branch)
+    res = abs(phase_time(complex(val[0]), q, geom, branch) - t)
     return ContourPoint(value=complex(val[0]), dt=complex(dt[0]),
-                        residual=float(res[0]))
+                        residual=float(res))
 
 
 def _flat_q(q):
@@ -487,9 +493,10 @@ def _flat_q(q):
 def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
     """Volume-contour points for one time t and an array of q, with d/dt.
 
-    Returns gamma, dgamma/dt, the residual |T(gamma) - t| and the vertical
-    slownesses kappa_top and kappa_bottom at gamma on the physical branch,
-    so that callers need not take those square roots again.
+    Returns gamma, dgamma/dt and the vertical slownesses kappa_top and
+    kappa_bottom at gamma on the physical branch, so that callers need not
+    take those square roots again.  The residual |T(gamma) - t| is judged
+    here and not returned; phase_time gives it from an independent root.
 
     The reflected wave has a closed form.  Transmitted waves start from the
     saddle-point expansion and solve the polynomial system
@@ -527,10 +534,8 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
         gam = -1j * (x * t / r ** 2) + (d_top / r) * big_d
         kap = (d_top * t / r ** 2) - 1j * (x / r) * big_d
         dgdt = kap / (r * big_d)
-        resid = np.abs(phase_time(gam, q, geom, branch) - t)
         kap = kap.reshape(shape)
-        return (gam.reshape(shape), dgdt.reshape(shape), resid.reshape(shape),
-                kap, kap)
+        return gam.reshape(shape), dgdt.reshape(shape), kap, kap
 
     if xi0 is None:
         xi0 = _xi_zero(q, geom, branch)
@@ -596,11 +601,10 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
                     + 1j * gc * x),
                 t, complex(g_seed[i]), tol, float(q[i]), branch)
         ka, kb = kappas(g)
-        f = t_func(g, ka, kb) - t
 
     dgdt = 1.0 / t_slope(g, ka, kb)
-    return (g.reshape(shape), dgdt.reshape(shape), np.abs(f).reshape(shape),
-            ka.reshape(shape), kb.reshape(shape))
+    return (g.reshape(shape), dgdt.reshape(shape), ka.reshape(shape),
+            kb.reshape(shape))
 
 
 def _contour_steps(delta, ua, ub, p0, ka0, kb0, d_top, d_bot, x, excess, tol):
@@ -714,9 +718,10 @@ def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float,
         return x - d_top * zeta / pa - d_bot * zeta / pb
 
     tol = _UPSILON_TOL * (1.0 + abs(t))
-    zeta = _bracketed_newton(lambda z, i: (t_of(z, i) - t, t_slope(z, i)),
-                             0.5 * (tip + p0), tip, p0, np.full_like(q, tol),
-                             100)
+    zeta = _bracketed_newton(
+        lambda z, i: (t_of(z, i) - t,
+                      lambda live: t_slope(z[live], i[live])),
+        0.5 * (tip + p0), tip, p0, np.full_like(q, tol), 100)
     resid = np.abs(t_of(zeta) - t)
     if np.any(resid > tol):
         i = int(np.argmax(resid > tol))

@@ -28,6 +28,25 @@ Each maps an exact zero determinant or pivot to SingularSystem, and both
 then call one gate function, _check_solution, on the 4x4 system: a
 non-finite solution, the equilibrated condition bound and the relative
 residual.  The singularity policy is written there once.
+
+_check_solution first certifies the whole batch with two inequalities per
+system, which need neither the row and column scales nor the norm of the
+matrix:
+
+    (a)  max(1, |a11|, |a12|) * max_j |x_j| < (_COND_LIMIT / 2) * |b1|,
+    (b)  residual <= (_RESIDUAL_BOUND / 2) * max(|b0|, |b1|),
+
+with the gates' own four-row residual.  Each implies its gate.  Every
+column scale of the row-equilibrated matrix is at most 1, and the gates'
+denominator is at least |b1| over the row-1 maximum max(1, |a11|, |a12|),
+so (a) keeps the condition bound below _COND_LIMIT / 2.  The gates'
+residual scale is at least max(|b0|, |b1|), so (b) keeps the relative
+residual below _RESIDUAL_BOUND / 2.  The factor 1/2 covers the rounding
+of the few operations on either side.  A NaN anywhere or an inf in the
+solution fails (a) or (b).
+Only a batch with a system outside them goes through the full gates
+(_full_gates), which alone raise SingularSystem, so every verdict, message
+and first failing index is theirs.
 """
 
 from __future__ import annotations
@@ -236,13 +255,49 @@ def _check_solution(e: InterfaceEntries, x, q_x, q_y):
     """The singularity gates of the interface solves, on the 4x4 system.
 
     x is the solution (r, t_pf, t_ps, t_s) of the systems with entries e.
+    A batch passes at once when every system meets both inequalities of
+    _certified,
+
+        (a)  max(1, |a11|, |a12|) * max_j |x_j| < (_COND_LIMIT / 2) * |b1|,
+        (b)  residual <= (_RESIDUAL_BOUND / 2) * max(|b0|, |b1|).
+
+    They are sound: every column scale of the equilibrated system is at
+    most 1 and the full gates' condition denominator is at least
+    |b1| / max(1, |a11|, |a12|), so (a) bounds their condition number by
+    _COND_LIMIT / 2; their residual scale is at least max(|b0|, |b1|), so
+    (b) bounds their relative residual by _RESIDUAL_BOUND / 2.  Any other
+    batch goes through _full_gates, which raise SingularSystem at the first
+    failing slowness pair.  x is never changed.
+    """
+    if not np.all(_certified(e, x)):
+        _full_gates(e, x, q_x, q_y)
+
+
+def _certified(e: InterfaceEntries, x):
+    """Per system, whether inequalities (a) and (b) of _check_solution hold.
+
+    The residual is that of the full gates (_residual).  A NaN anywhere or
+    an inf in the solution makes a system fail.
+    """
+    with np.errstate(all="ignore"):
+        abs_b1 = np.abs(e.b1)
+        ok = _max(1.0, np.abs(e.a11), np.abs(e.a12)) \
+            * _max(*(np.abs(v) for v in x)) < (0.5 * _COND_LIMIT) * abs_b1
+        ok &= _residual(e, x) \
+            <= (0.5 * _RESIDUAL_BOUND) * np.maximum(np.abs(e.b0), abs_b1)
+    return ok
+
+
+def _full_gates(e: InterfaceEntries, x, q_x, q_y):
+    """The singularity gates on the row- and column-equilibrated system.
+
     The rows mix units (1/rho against stresses in Pa), so singularity is
     judged on the row- then column-equilibrated system R A C, in the spirit
     of LAPACK xGEEQU.  In order, a non-finite solution, a lower bound
     max|x_j / c_j| / max|r_i b_i| of the equilibrated condition number at
     or above _COND_LIMIT, and a relative residual on the original system
     above _RESIDUAL_BOUND each raise SingularSystem at the first failing
-    slowness pair.  x is never changed.
+    slowness pair.
     """
     a00, a01, a02, a03, a11, a12, a21, a22, a23, a31, a32, a33, b0, b1 = e
     r, t_pf, t_ps, t_s = x
@@ -274,15 +329,22 @@ def _check_solution(e: InterfaceEntries, x, q_x, q_y):
 
     norm_a = _max(g00 + g01 + g02 + g03, 1.0 + g11 + g12, g21 + g22 + g23,
                   1.0 + g31 + g32 + g33)
-    resid = _max(
-        np.abs(a00 * r + a01 * t_pf + a02 * t_ps + a03 * t_s - b0),
-        np.abs(r + a11 * t_pf + a12 * t_ps - b1),
-        np.abs(a21 * t_pf + a22 * t_ps + a23 * t_s),
-        np.abs(r + a31 * t_pf + a32 * t_ps + a33 * t_s - b1))
+    resid = _residual(e, x)
     scale = np.maximum(np.maximum(abs_b0, abs_b1), norm_a * _max(*abs_x))
     bad = ~(resid <= _RESIDUAL_BOUND * scale)
     if np.any(bad):
         _fail(q_x, q_y, bad, "relative residual", resid / scale)
+
+
+def _residual(e: InterfaceEntries, x):
+    """Largest row residual |(A x - b)_i| of each system."""
+    a00, a01, a02, a03, a11, a12, a21, a22, a23, a31, a32, a33, b0, b1 = e
+    r, t_pf, t_ps, t_s = x
+    return _max(
+        np.abs(a00 * r + a01 * t_pf + a02 * t_ps + a03 * t_s - b0),
+        np.abs(r + a11 * t_pf + a12 * t_ps - b1),
+        np.abs(a21 * t_pf + a22 * t_ps + a23 * t_s),
+        np.abs(r + a31 * t_pf + a32 * t_ps + a33 * t_s - b1))
 
 
 def _fail(q_x, q_y, bad, detail, value=None):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cagniard
-from .branch_math import kappa, kappa_below_cut
+from .branch_math import branch_sqrt, kappa_below_cut
 from .cagniard import (ArrivalTimes, Geometry, WaveBranch, WaveKind,
                        arrival_times, reflected_branch, transmitted_branches)
 from .coefficients import _solve_structured, _structural_entries
@@ -190,15 +190,20 @@ def _volume_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
 
     xi0 as in cagniard._gamma_vec.  The contour solve hands over the
     vertical slownesses of the fluid and of the branch's own wave, so only
-    the other porous ones are computed here.
+    the other porous ones are computed here, from gamma^2 taken once: the
+    argument (1/v^2 + gamma^2) + q^2 is summed as in branch_math.kappa, so
+    the values are the same to the bit.
     """
     ac, pd = model.acoustic, model.poro
-    gam, dgdt, _, k_plus, k_own = cagniard._gamma_vec(t, q, geom, branch, xi0)
+    gam, dgdt, k_plus, k_own = cagniard._gamma_vec(t, q, geom, branch, xi0)
+    gam_sq, q_sq = gam * gam, q * q
     # Matching on the speed also reuses k_own where two speeds coincide,
     # since the slownesses then coincide as well.
-    k_pf, k_ps, k_s = (k_own if v == branch.v_bottom else kappa(v, gam, q)
-                       for v in (pd.v_pf, pd.v_ps, pd.v_s))
-    qq = gam * gam + q * q
+    k_pf, k_ps, k_s = (
+        k_own if v == branch.v_bottom
+        else branch_sqrt((1.0 / (v * v) + gam_sq) + q_sq)
+        for v in (pd.v_pf, pd.v_ps, pd.v_s))
+    qq = gam_sq + q_sq
     coef = _solve_structured(
         _structural_entries(ac, pd, qq, k_plus, k_pf, k_ps, k_s), gam, q)
     w = _channel_weights(branch, model, 1j * gam, qq,

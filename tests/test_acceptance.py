@@ -107,8 +107,9 @@ def test_criterion_3_contour_residuals(model, acoustic, poro):
             if vol is not None and head is not None:
                 mixed_times += 1
             if vol is not None:
-                _, _, res, _, _ = cagniard._gamma_vec(t, fracs * vol[1],
-                                                      geom, branch)
+                q = fracs * vol[1]
+                g = cagniard._gamma_vec(t, q, geom, branch)[0]
+                res = np.abs(cagniard.phase_time(g, q, geom, branch) - t)
                 assert np.max(res) <= 1e-10
                 volume_points += res.size
             if head is not None:

@@ -274,7 +274,7 @@ def test_contour_is_accurate_next_to_the_saddle(branches, porous_geom, excess):
     for branch in branches.values():
         t = fictitious_arrival(0.0, porous_geom, branch) + excess
         q = _sin_nodes(t, porous_geom, branch)
-        g, _, _, _, _ = _gamma_vec(t, q, porous_geom, branch)
+        g = _gamma_vec(t, q, porous_geom, branch)[0]
         ref = _polished_roots(t, q, porous_geom, branch, g)
         err = np.abs(g - ref) / np.abs(ref)
         assert float(np.max(err)) <= 1e-10, branch.kind
@@ -302,9 +302,10 @@ def test_contour_fallback_solves_the_contour(branches, porous_geom,
         with monkeypatch.context() as patch:
             patch.setattr(cagniard, patch_name, value)
             safe = _gamma_vec(t, q, porous_geom, branch)
-        assert np.max(safe[2]) <= 1e-12 * (1.0 + t)
+        resid = np.abs(phase_time(safe[0], q, porous_geom, branch) - t)
+        assert np.max(resid) <= 1e-12 * (1.0 + t)
         assert np.max(np.abs(safe[0] - fast[0]) / np.abs(fast[0])) <= 1e-7
-        for k_safe, k_fast in zip(safe[3:], fast[3:]):
+        for k_safe, k_fast in zip(safe[2:], fast[2:]):
             assert np.max(np.abs(k_safe - k_fast) / np.abs(k_fast)) <= 1e-7
 
 
@@ -348,7 +349,7 @@ def test_handed_over_kappas_lie_on_the_physical_rim(acoustic, branches,
         for excess in (1e-3, 0.1):
             t = fictitious_arrival(0.0, geom, branch) * (1.0 + excess)
             q = _sin_nodes(t, geom, branch, n=16)
-            g, _, _, k_top, k_bot = _gamma_vec(t, q, geom, branch)
+            g, _, k_top, k_bot = _gamma_vec(t, q, geom, branch)
             for k, v in ((k_top, branch.v_top), (k_bot, branch.v_bottom)):
                 ref = kappa(v, g, q)
                 size = 1.0 / v ** 2 + np.abs(g) ** 2 + q * q
@@ -403,17 +404,41 @@ def test_q1_rejects_zero_offset(branches, model):
 
 
 def _arctan(x, idx):
-    return np.arctan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)
+    return np.arctan(x - 0.3), lambda live: 1.0 / (1.0 + (x[live] - 0.3) ** 2)
 
 
 def test_bracketed_newton_converges_where_newton_diverges():
     x = 5.0
     for _ in range(5):  # plain Newton overshoots further at every step
-        x -= _arctan(x, None)[0] / _arctan(x, None)[1]
+        x -= math.atan(x - 0.3) * (1.0 + (x - 0.3) ** 2)
     assert abs(x - 0.3) > 1e3
     root = _bracketed_newton(_arctan, np.array([5.0]), np.array([-10.0]),
                              np.array([10.0]), np.array([1e-14]), 60)
     assert abs(root[0] - 0.3) <= 1e-12
+
+
+def test_bracketed_newton_takes_slopes_only_where_it_steps():
+    """Every evaluation but the last asks for slopes, and only at the points
+    still off target; the last one, where all points have met it, asks for
+    none."""
+    values, slopes = [], []
+
+    def func(x, idx):
+        f, slope = _arctan(x, idx)
+        values.append(f)
+
+        def counted(live):
+            slopes.append(live.copy())
+            return slope(live)
+        return f, counted
+
+    _bracketed_newton(func, np.array([5.0, 0.3, 2.0]), np.full(3, -10.0),
+                      np.full(3, 10.0), np.full(3, 1e-14), 60)
+    assert len(slopes) == len(values) - 1 > 2
+    assert list(slopes[0]) == [True, False, True]
+    for f, live in zip(values, slopes):
+        assert np.array_equal(live, np.abs(f) > 1e-14)
+    assert np.all(np.abs(values[-1]) <= 1e-14)
 
 
 def test_bracketed_newton_evaluates_only_live_points():

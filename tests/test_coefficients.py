@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from test_random_media import random_setup
 
-from poroseis import green
+from poroseis import coefficients, green
 from poroseis.branch_math import kappa
 from poroseis.coefficients import (InterfaceEntries, _assemble_batch,
-                                   _solve_batch, _solve_structured,
+                                   _certified, _check_solution, _full_gates,
+                                   _scatter, _solve_batch, _solve_structured,
                                    _structural_entries, assemble_system,
                                    solve_coefficients)
 from poroseis.errors import SingularSystem
@@ -211,3 +212,180 @@ def test_closed_form_gates(solve, bad, fragment):
             solve(entries, Q_X, Q_Y)
     assert err.value.q_x == Q_X[1] and err.value.q_y == Q_Y[1]
     assert f"q_x={Q_X[1]!r}, q_y={Q_Y[1]!r}" in str(err.value)
+
+
+# Which entries belong to which row of the 4x4 system; b1 is the right-hand
+# side of rows 1 and 3 and is scaled with row 1.
+_ROW_OF = dict(a00=0, a01=0, a02=0, a03=0, b0=0, a11=1, a12=1, b1=1,
+               a21=2, a22=2, a23=2, a31=3, a32=3, a33=3)
+
+
+def _random_systems(rng, m):
+    """m random entry sets and their solutions: rows scaled over
+    1e-12..1e12, half of them near-singular (the shear column a combination
+    of the other two up to a relative 1e-17..1e-4, NaN solutions where
+    that leaves it exactly singular), and every second solution perturbed by a relative 1e-17..1e-6, so that both gates are
+    met and missed by every margin."""
+    def complex_normal():
+        return rng.normal(size=m) + 1j * rng.normal(size=m)
+
+    scale = 10.0 ** rng.uniform(-12.0, 12.0, size=(4, m))
+    f = {name: complex_normal() * scale[row] for name, row in _ROW_OF.items()}
+    near = rng.random(m) < 0.5
+    alpha = complex_normal()
+    beta = -alpha * f["a11"] / f["a12"]  # keeps a13 = 0 exactly dependent
+    eps = 10.0 ** rng.uniform(-17.0, -4.0, size=m)
+    for col, (one, two) in (("a03", ("a01", "a02")), ("a23", ("a21", "a22")),
+                            ("a33", ("a31", "a32"))):
+        dep = alpha * f[one] + beta * f[two]
+        noise = eps * complex_normal() * np.abs(dep)
+        f[col] = np.where(near, dep + noise, f[col])
+    e = InterfaceEntries(**f)
+    a, b = _scatter(e)
+    x = np.full((m, 4), np.nan + 0j)  # stays NaN where LAPACK finds det = 0
+    for i in range(m):
+        try:
+            x[i] = np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError:
+            pass
+    shake = np.where(rng.random(m) < 0.5, 10.0 ** rng.uniform(-17, -6, m), 0.0)
+    x = x * (1.0 + shake[:, None] * (rng.normal(size=(m, 4))
+                                     + 1j * rng.normal(size=(m, 4))))
+    return e, tuple(x.T)
+
+
+def _take(e, x, i):
+    """The entries and solution of system i alone."""
+    return (InterfaceEntries(*(np.atleast_1d(v)[i:i + 1] for v in e)),
+            tuple(v[i:i + 1] for v in x))
+
+
+def _gate_verdict(e, x):
+    """'pass', or the fragment of the full gates' SingularSystem message."""
+    try:
+        _full_gates(e, x, np.zeros(1), 0.0)
+    except SingularSystem as err:
+        for fragment in ("not finite", "condition", "residual"):
+            if fragment in str(err):
+                return fragment
+        raise
+    return "pass"
+
+
+@pytest.mark.parametrize("residual", ["kept", "zero"])
+def test_certificate_accepts_only_what_the_full_gates_accept(rng, residual,
+                                                             monkeypatch):
+    """Wherever the two-inequality certificate accepts a system, the full
+    gates accept it too, on 3000 random systems with rows scaled over
+    1e-12..1e12 and near-singular ones among them.  With the residual set to
+    zero in both stages, the condition inequality alone is judged against
+    the condition gate; otherwise the residual inequality rejects most
+    ill-conditioned systems first.  The draw meets the verdicts of the gates
+    judged, and the certificate both accepts and, being the stricter test,
+    turns down systems the gates accept."""
+    if residual == "zero":
+        monkeypatch.setattr(coefficients, "_residual",
+                            lambda e, x: np.zeros(np.shape(x[0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e, x = _random_systems(rng, 3000)
+        certified = _certified(e, x)
+        verdicts = [_gate_verdict(*_take(e, x, i)) for i in range(3000)]
+    verdicts = np.array(verdicts)
+    assert certified.shape == (3000,)
+    assert np.all(verdicts[certified] == "pass")
+    passed = verdicts == "pass"
+    assert {"pass", "condition"} <= set(verdicts)
+    assert ("residual" in verdicts) == (residual == "kept")
+    assert np.count_nonzero(certified) >= 100
+    assert np.count_nonzero(passed & ~certified) >= 100
+
+
+def _fixture_batch(acoustic, poro, m=64):
+    """m well-posed fixture systems at complex slownesses, with their
+    slownesses; a11 and a12 broadcast so that one system can be replaced."""
+    q_x = np.linspace(1e-5, 6e-4, m) - 2e-4j
+    q_y = np.linspace(0.0, 3e-4, m)
+    kappas = [kappa(v, q_x, q_y)
+              for v in (acoustic.v_plus, poro.v_pf, poro.v_ps, poro.v_s)]
+    e = _structural_entries(acoustic, poro, q_x * q_x + q_y * q_y, *kappas)
+    e = InterfaceEntries(*(np.broadcast_to(v, (m,)).astype(complex)
+                           for v in e))
+    return e, q_x, q_y
+
+
+def _with_system(e, i, other):
+    """e with system i replaced by system 1 of the two-system entries other."""
+    fields = [np.array(v) for v in e]
+    for field, value in zip(fields, other):
+        field[i] = value[1]
+    return InterfaceEntries(*fields)
+
+
+# The bad system of each case: system 1 of _gate_entries with these
+# entries, or, for "residual", a good system whose solution is then moved.
+BAD_SYSTEMS = {fragment.split()[-1]: bad for bad, fragment in GATE_CASES}
+BAD_SYSTEMS["residual"] = {}
+
+
+@pytest.mark.parametrize("case", ["singular", "condition", "finite",
+                                  "residual"])
+@pytest.mark.parametrize("solve", [_solve_structured, _solve_batch],
+                         ids=["closed_form", "lapack"])
+def test_one_bad_system_raises_the_full_gates_message(acoustic, poro, solve,
+                                                      case, monkeypatch):
+    """A batch of good fixture systems with one exactly singular,
+    ill-conditioned, non-finite or high-residual system raises at that
+    system's slowness pair, with no numpy warning, and the message of a
+    gate is the full gates' own."""
+    e, q_x, q_y = _fixture_batch(acoustic, poro)
+    assert np.all(_certified(e, solve(e, q_x, q_y)))
+    k = 37
+    if case != "residual":
+        e = _with_system(e, k, _gate_entries(**BAD_SYSTEMS[case]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if case == "singular":  # the solvers' own check, before the gates
+            expected = "exactly singular"
+        else:
+            with monkeypatch.context() as patch:
+                patch.setattr(coefficients, "_check_solution",
+                              lambda *args: None)
+                x = solve(e, q_x, q_y)
+            if case == "residual":
+                x[1][k] *= 1.0 + 1e-4
+            with pytest.raises(SingularSystem) as ref:
+                _full_gates(e, x, q_x, q_y)
+            expected = str(ref.value)
+        with pytest.raises(SingularSystem) as err:
+            if case == "residual":
+                _check_solution(e, x, q_x, q_y)
+            else:
+                solve(e, q_x, q_y)
+    assert expected in str(err.value)
+    assert err.value.q_x == q_x[k] and err.value.q_y == q_y[k]
+
+
+def test_fixture_traces_never_reach_the_full_gates(model, fluid_receiver,
+                                                   porous_receiver,
+                                                   monkeypatch):
+    """Every interface batch of the fixture receivers at n = 64, across the
+    reflected, transmitted, head and mixed windows, is certified by the two
+    inequalities alone."""
+    calls = {"certified": 0, "full": 0}
+    certify = coefficients._certified
+
+    def counted(e, x):
+        calls["certified"] += 1
+        return certify(e, x)
+
+    def full(*args):
+        calls["full"] += 1
+
+    monkeypatch.setattr(coefficients, "_certified", counted)
+    monkeypatch.setattr(coefficients, "_full_gates", full)
+    t = np.arange(0.3, 1.2, 1.0 / 400.0)
+    for receiver in (fluid_receiver, porous_receiver):
+        green.green_trace(model, receiver, t, QuadratureConfig(n=64))
+    assert calls["certified"] > 500
+    assert calls["full"] == 0

@@ -270,7 +270,7 @@ def test_volume_nodes_take_few_complex_square_roots(model, porous_receiver,
     each volume node of the porous receiver takes six complex square roots
     (the two kappas at the seed and at the root, and the two porous ones
     the contour does not carry), not one pair per Newton step."""
-    from poroseis import branch_math, cagniard
+    from poroseis import branch_math, cagniard, green
 
     counts = {"roots": 0, "nodes": 0}
     sqrt = branch_math.branch_sqrt
@@ -286,11 +286,49 @@ def test_volume_nodes_take_few_complex_square_roots(model, porous_receiver,
 
     monkeypatch.setattr(branch_math, "branch_sqrt", counted_sqrt)
     monkeypatch.setattr(cagniard, "branch_sqrt", counted_sqrt)
+    monkeypatch.setattr(green, "branch_sqrt", counted_sqrt)
     monkeypatch.setattr(cagniard, "_gamma_vec", counted_solve)
     t = np.arange(0.5, 0.905, 1.0 / 600.0)
     green_trace(model, porous_receiver, t, QuadratureConfig(n=64))
     assert counts["nodes"] > 0
     assert counts["roots"] <= 6 * counts["nodes"]
+
+
+def test_volume_kappas_equal_branch_math_kappa_bit_for_bit(
+        model, fluid_receiver, porous_receiver, monkeypatch):
+    """The porous vertical slownesses _volume_values builds from gamma^2 are
+    bit for bit those of branch_math.kappa(v, gamma, q), on every reflected
+    and transmitted volume node of the fixture receivers at n = 64."""
+    from poroseis import cagniard, green
+    from poroseis.branch_math import kappa
+
+    nodes, systems = [], []
+    solve, entries = cagniard._gamma_vec, green._structural_entries
+
+    def spy_solve(t, q, geom, branch, *args):
+        out = solve(t, q, geom, branch, *args)
+        nodes.append((branch, q, out[0]))
+        return out
+
+    def spy_entries(acoustic, poro, qq, *kappas):
+        if np.iscomplexobj(qq):  # head windows pass a real qq
+            systems.append((nodes[-1], kappas[1:]))
+        return entries(acoustic, poro, qq, *kappas)
+
+    monkeypatch.setattr(cagniard, "_gamma_vec", spy_solve)
+    monkeypatch.setattr(green, "_structural_entries", spy_entries)
+    t = np.arange(0.5, 0.95, 1.0 / 200.0)
+    green_trace(model, fluid_receiver, t, QuadratureConfig(n=64))
+    green_trace(model, porous_receiver, t, QuadratureConfig(n=64))
+    poro = model.poro
+    compared = {}
+    for (branch, q, gam), kappas in systems:
+        for v, k in zip((poro.v_pf, poro.v_ps, poro.v_s), kappas):
+            if v != branch.v_bottom:  # that one is the contour's own
+                assert k.tobytes() == kappa(v, gam, q).tobytes()
+                compared[branch.kind] = compared.get(branch.kind, 0) + k.size
+    assert set(compared) == set(WaveKind)
+    assert min(compared.values()) >= 1000
 
 
 def test_window_failure_names_its_sample(model, porous_receiver, monkeypatch):
@@ -303,11 +341,11 @@ def test_window_failure_names_its_sample(model, porous_receiver, monkeypatch):
     solve = cagniard._gamma_vec
 
     def poisoned(t_arr, q, *args):
-        gam, dgdt, res, k_top, k_bot = solve(t_arr, q, *args)
+        gam, dgdt, k_top, k_bot = solve(t_arr, q, *args)
         hit = np.flatnonzero(np.broadcast_to(t_arr, np.shape(q)) == target)
         if hit.size:
             dgdt[hit[3]] = np.nan
-        return gam, dgdt, res, k_top, k_bot
+        return gam, dgdt, k_top, k_bot
 
     monkeypatch.setattr(cagniard, "_gamma_vec", poisoned)
     with pytest.raises(NonFiniteIntegrand) as info:
