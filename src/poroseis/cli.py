@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-compute --config cfg.json [--threads N] [--quiet]
+compute --config cfg.json [--quiet]
     Compute seismograms (and optionally raw Green channels) for every
     receiver in the configuration and write one trace file per receiver.
 
@@ -22,7 +22,6 @@ Exit codes: 0 success, 1 verification mismatch, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import ctypes
 import hashlib
 import json
@@ -346,13 +345,6 @@ def _write_green(path: Path, setup: RunSetup, green: GreenTrace) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _compute_receiver(setup: RunSetup, rec: Receiver):
-    t = _time_grid(setup)
-    green = green_trace(setup.model, rec, t, setup.quad)
-    seis = convolve(green, setup.wavelet, setup.dt, gain=setup.gain)
-    return green, seis
-
-
 def _keep_freed_memory() -> None:
     """Keep freed heap memory in the process instead of returning it.
 
@@ -379,24 +371,24 @@ def _keep_freed_memory() -> None:
 def run_compute(setup: RunSetup, threads: int = 1, quiet: bool = False) -> int:
     """Compute and write every receiver's traces; return the exit code.
 
-    The process keeps freed memory from here on (``_keep_freed_memory``).
+    Receivers are computed one after another, and files are written only
+    once every receiver has computed, so a numerical failure leaves no
+    trace file.  ``threads`` is accepted only as 1, for callers that still
+    pass it.  The process keeps freed memory from here on
+    (``_keep_freed_memory``).
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     _keep_freed_memory()
     _warn_short_window(setup)
     setup.out_dir.mkdir(parents=True, exist_ok=True)
-    results: list = [None] * len(setup.receivers)
+    t = _time_grid(setup)
+    results = []
     try:
-        if threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-                futures = {pool.submit(_compute_receiver, setup, rec): i
-                           for i, rec in enumerate(setup.receivers)}
-                for fut in concurrent.futures.as_completed(futures):
-                    results[futures[fut]] = fut.result()
-        else:
-            for i, rec in enumerate(setup.receivers):
-                results[i] = _compute_receiver(setup, rec)
+        for rec in setup.receivers:
+            green = green_trace(setup.model, rec, t, setup.quad)
+            results.append((green, convolve(green, setup.wavelet, setup.dt,
+                                            gain=setup.gain)))
     except PoroseisError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -498,17 +490,6 @@ def run_verify(setup: RunSetup) -> int:
     return 0
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="poroseis",
@@ -517,8 +498,6 @@ def main(argv=None) -> int:
 
     p_compute = sub.add_parser("compute", help="compute seismogram traces")
     p_compute.add_argument("--config", required=True, help="JSON configuration")
-    p_compute.add_argument("--threads", type=_thread_count, default=1,
-                           help="receivers computed in parallel")
     p_compute.add_argument("--quiet", action="store_true",
                            help="suppress per-receiver progress lines")
 
@@ -537,7 +516,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.command == "compute":
-        return run_compute(setup, threads=args.threads, quiet=args.quiet)
+        return run_compute(setup, quiet=args.quiet)
     return run_verify(setup)
 
 

@@ -112,6 +112,7 @@ _ENTRY_POSITIONS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
                     (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 
 
+@np.errstate(all="ignore")
 def _structural_entries(acoustic, poro, qq, k_plus, k_pf, k_ps,
                         k_s) -> InterfaceEntries:
     """Entries of the interface systems at a batch of slownesses.
@@ -119,7 +120,9 @@ def _structural_entries(acoustic, poro, qq, k_plus, k_pf, k_ps,
     The vertical slownesses are passed in rather than recomputed so that the
     caller controls the branch (deformed contours evaluate them on a specific
     rim of the cut).  Their squares are branch-free and are rebuilt from qq.
-    Real inputs give real entries.
+    Real inputs give real entries.  A non-finite entry (kappa_+ = 0 at the
+    branch point makes the source term infinite) raises no numpy warning;
+    the solvers' gates report it.
     """
     p11, p12 = poro.p_mat[0, 0], poro.p_mat[0, 1]
     p21, p22 = poro.p_mat[1, 0], poro.p_mat[1, 1]
@@ -201,7 +204,9 @@ def _solve_batch(e: InterfaceEntries, q_x, q_y):
     try:
         x = np.linalg.solve(a, b[..., np.newaxis])[..., 0]
     except np.linalg.LinAlgError:
-        _fail(q_x, q_y, np.linalg.det(a) == 0.0, "exactly singular")
+        with np.errstate(all="ignore"):  # a NaN entry makes det warn
+            zero_det = np.linalg.det(a) == 0.0
+        _fail(q_x, q_y, zero_det, "exactly singular")
     x = tuple(x.T)
     _check_solution(e, x, q_x, q_y)
     return x
@@ -288,6 +293,7 @@ def _certified(e: InterfaceEntries, x):
     return ok
 
 
+@np.errstate(all="ignore")
 def _full_gates(e: InterfaceEntries, x, q_x, q_y):
     """The singularity gates on the row- and column-equilibrated system.
 
@@ -297,7 +303,8 @@ def _full_gates(e: InterfaceEntries, x, q_x, q_y):
     max|x_j / c_j| / max|r_i b_i| of the equilibrated condition number at
     or above _COND_LIMIT, and a relative residual on the original system
     above _RESIDUAL_BOUND each raise SingularSystem at the first failing
-    slowness pair.
+    slowness pair.  Infinite entries make the scales inf / inf and the
+    residual inf * 0; those NaNs raise no numpy warning.
     """
     a00, a01, a02, a03, a11, a12, a21, a22, a23, a31, a32, a33, b0, b1 = e
     r, t_pf, t_ps, t_s = x

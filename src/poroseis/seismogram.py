@@ -28,8 +28,6 @@ import numpy as np
 from .errors import GridTooCoarse, InvariantViolation
 from .green import GreenTrace, Receiver, rotate_to_3d
 
-KIND_FIFTH_GAUSSIAN_DERIVATIVE = "fifth_gaussian_derivative"
-
 # Half width of the effective support in units of 1/f0.
 _SUPPORT_HALF_WIDTH = 1.6
 
@@ -37,13 +35,10 @@ _SUPPORT_HALF_WIDTH = 1.6
 @dataclass(frozen=True)
 class SourceWavelet:
     f0: float  # dominant frequency, Hz
-    kind: str = KIND_FIFTH_GAUSSIAN_DERIVATIVE
 
     def __post_init__(self):
         if not self.f0 > 0.0:
             raise ValueError(f"wavelet frequency must be positive, got {self.f0}")
-        if self.kind != KIND_FIFTH_GAUSSIAN_DERIVATIVE:
-            raise ValueError(f"unknown wavelet kind {self.kind!r}")
 
     def support(self) -> tuple[float, float]:
         """Time window outside of which the kernel is treated as zero."""
@@ -108,7 +103,6 @@ def _kernel(wavelet: SourceWavelet, dt: float, derivative: bool):
     count = math.ceil(hi / dt) - first
     mid = (first + np.arange(count) + 0.5) * dt
     values = wavelet.derivative(mid) if derivative else wavelet.value(mid)
-    values = np.where((mid >= lo) & (mid <= hi), values, 0.0)
     return values, first
 
 

@@ -17,7 +17,7 @@ from poroseis.cli import (ConfigError, fixture_config, load_config, main,
                           run_compute, run_verify, verify_grid, _media_hash,
                           _time_grid)
 from poroseis.errors import DomainError, NotConverged
-from poroseis.green import ReflectedChannels, branch_arrivals
+from poroseis.green import ReflectedChannels, branch_arrivals, green_trace
 
 
 def small_config(out_dir, **overrides):
@@ -156,7 +156,7 @@ def test_compute_writes_csv_trace(tmp_path, capsys):
     assert not np.any(data[:, 3])
 
 
-def test_compute_is_deterministic_and_thread_safe(tmp_path):
+def test_compute_is_deterministic(tmp_path):
     out = tmp_path / "run"
     cfg = small_config(out)
     cfg["receivers"] = [[50.0, 0.0, 30.0], [0.0, 60.0, 40.0]]
@@ -164,31 +164,27 @@ def test_compute_is_deterministic_and_thread_safe(tmp_path):
 
     assert run_compute(setup, quiet=True) == 0
     first = [(out / f"receiver_{i:03d}.csv").read_bytes() for i in (1, 2)]
-    assert run_compute(setup, threads=2, quiet=True) == 0
+    assert run_compute(setup, quiet=True) == 0
     second = [(out / f"receiver_{i:03d}.csv").read_bytes() for i in (1, 2)]
     assert first == second
 
 
-@pytest.mark.parametrize("threads, fragment", [
-    ("0", "must be at least 1, got 0"),
-    ("-1", "must be at least 1, got -1"),
-    ("two", "must be an integer, got 'two'"),
-])
-def test_compute_rejects_bad_thread_counts(threads, fragment, tmp_path,
-                                           capsys):
+def test_compute_has_no_threads_option(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(tmp_path / "run")))
     with pytest.raises(SystemExit) as exc:
-        main(["compute", "--config", str(cfg_path), "--threads", threads])
+        main(["compute", "--config", str(cfg_path), "--threads", "2"])
     assert exc.value.code == 2
-    assert f"--threads: {fragment}" in capsys.readouterr().err
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("threads", [0, -8])
+@pytest.mark.parametrize("threads", [-8, 0, 2])
 def test_run_compute_rejects_fewer_than_one_thread(threads, tmp_path):
+    """threads is accepted only as 1; anything else, more threads included,
+    is rejected before anything is written."""
     setup = load_config(small_config(tmp_path / "run"))
-    with pytest.raises(ValueError, match="threads must be at least 1"):
+    with pytest.raises(ValueError, match=f"threads must be 1, got {threads}"):
         run_compute(setup, threads=threads, quiet=True)
     assert not (tmp_path / "run").exists()
 
@@ -291,6 +287,31 @@ def test_compute_reports_numerical_failure(tmp_path, monkeypatch, capsys):
     setup = load_config(small_config(tmp_path / "run"))
     assert run_compute(setup, quiet=True) == 3
     assert "synthetic failure" in capsys.readouterr().err
+
+
+def test_compute_writes_nothing_when_a_later_receiver_fails(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    """Every receiver is computed before any file is written, so a failure
+    at the second receiver leaves no trace or Green file of the first."""
+    out = tmp_path / "run"
+    cfg = small_config(out)
+    cfg["receivers"] = [[50.0, 0.0, 30.0], [0.0, 60.0, 40.0]]
+    cfg["output"]["emit_green"] = True
+    setup = load_config(cfg)
+    seen = []
+
+    def fail_second(model, rec, t, quad):
+        seen.append(rec)
+        if len(seen) == 2:
+            raise DomainError("synthetic failure at receiver 2")
+        return green_trace(model, rec, t, quad)
+
+    monkeypatch.setattr("poroseis.cli.green_trace", fail_second)
+    assert run_compute(setup, quiet=True) == 3
+    assert seen == setup.receivers
+    assert "synthetic failure at receiver 2" in capsys.readouterr().err
+    assert not list(out.glob("receiver_*")) + list(out.glob("green_*"))
 
 
 def test_verify_grid_centres_the_onset(model, fluid_receiver):

@@ -214,6 +214,34 @@ def test_closed_form_gates(solve, bad, fragment):
     assert f"q_x={Q_X[1]!r}, q_y={Q_Y[1]!r}" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", InterfaceEntries._fields)
+@pytest.mark.parametrize("solve", [_solve_structured, _solve_batch],
+                         ids=["closed_form", "lapack"])
+def test_non_finite_entries_raise_without_warnings(solve, field, value):
+    """Any entry of the second system set to inf, -inf or NaN raises
+    SingularSystem at that system, and neither solver emits a numpy
+    warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem) as err:
+            solve(_gate_entries(**{field: value}), Q_X, Q_Y)
+    assert err.value.q_x == Q_X[1] and err.value.q_y == Q_Y[1]
+
+
+def test_branch_point_raises_without_warnings(acoustic, poro):
+    """At q_x = i / v_+ the fluid's vertical slowness vanishes and the
+    source term is infinite: solve_coefficients raises SingularSystem there
+    without a numpy warning."""
+    q_x = 1j / acoustic.v_plus
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match="solution not finite") as err:
+            solve_coefficients(acoustic, poro, q_x, 0.0)
+    assert err.value.q_x == q_x and err.value.q_y == 0.0
+
+
 # Which entries belong to which row of the 4x4 system; b1 is the right-hand
 # side of rows 1 and 3 and is scaled with row 1.
 _ROW_OF = dict(a00=0, a01=0, a02=0, a03=0, b0=0, a11=1, a12=1, b1=1,

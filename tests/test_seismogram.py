@@ -61,8 +61,6 @@ def test_wavelet_derivative_matches_difference(wavelet):
 def test_wavelet_validation():
     with pytest.raises(ValueError):
         SourceWavelet(f0=0.0)
-    with pytest.raises(ValueError):
-        SourceWavelet(f0=15.0, kind="ricker")
 
 
 def test_convolution_is_linear(rng, wavelet):
