@@ -169,13 +169,23 @@ def test_compute_is_deterministic(tmp_path):
     assert first == second
 
 
-def test_compute_has_no_threads_option(tmp_path, capsys):
+@pytest.mark.parametrize("threads, fragment", [
+    ("0", "must be at least 1, got 0"),
+    ("-1", "must be at least 1, got -1"),
+    ("two", "must be an integer, got 'two'"),
+])
+def test_compute_rejects_bad_thread_counts(threads, fragment, tmp_path,
+                                           capsys):
+    """compute has no --threads option: every value the option once checked
+    is now refused whole as an unknown argument, before anything is written."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(tmp_path / "run")))
     with pytest.raises(SystemExit) as exc:
-        main(["compute", "--config", str(cfg_path), "--threads", "2"])
+        main(["compute", "--config", str(cfg_path), "--threads", threads])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: --threads {threads}" in err
+    assert fragment not in err
     assert not (tmp_path / "run").exists()
 
 
