@@ -409,58 +409,28 @@ def q1_of_t(t, geom: Geometry, branch: WaveBranch, v_max: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _volume_window_vec(t, arrivals: ArrivalTimes, geom: Geometry,
-                       branch: WaveBranch):
-    """Volume windows (0, q0(t)) at times t, vectorized.
-
-    Returns the bounds lo and hi and the mask keep of the times that have a
-    (non-empty) window.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    hi = np.zeros_like(t)
-    keep = t > arrivals.t0
-    if np.any(keep):
-        hi[keep] = _q0_vec(t[keep], geom, branch)
-    return np.zeros_like(t), hi, keep & (hi > 0.0)
-
-
-def _head_window_vec(t, arrivals: ArrivalTimes, geom: Geometry,
-                     branch: WaveBranch, v_max: float, q0=None):
-    """Head windows at times t, vectorized; returns lo, hi and keep.
-
-    Between the head onset and the volume arrival the window is
-    (0, q1(t)); between the volume arrival and the head end it shrinks to
-    (q0(t), q1(t)).  q0, when given, holds the volume bound at every t past
-    the volume arrival, so it is not inverted again.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    lo = np.zeros_like(t)
-    hi = np.zeros_like(t)
-    if not arrivals.head_exists:
-        return lo, hi, np.zeros(t.shape, dtype=bool)
-    keep = (t > arrivals.t_h1) & (t < arrivals.t_h2)
-    if np.any(keep):
-        hi[keep] = q1_of_t(t[keep], geom, branch, v_max)
-        late = keep & (t > arrivals.t0)
-        if q0 is not None:
-            lo[late] = q0[late]
-        elif np.any(late):
-            lo[late] = _q0_vec(t[late], geom, branch)
-    return lo, hi, keep & (hi > lo)
-
-
 def volume_window(t: float, arrivals: ArrivalTimes, geom: Geometry,
                   branch: WaveBranch) -> tuple[float, float] | None:
-    """Transverse-slowness window of the volume piece at time t, or None."""
-    lo, hi, keep = _volume_window_vec(t, arrivals, geom, branch)
-    return (float(lo[0]), float(hi[0])) if keep[0] else None
+    """Transverse-slowness window (0, q0(t)) of the volume piece, or None."""
+    if not t > arrivals.t0:
+        return None
+    q0 = q0_of_t(t, geom, branch)
+    return (0.0, q0) if q0 > 0.0 else None
 
 
 def head_window(t: float, arrivals: ArrivalTimes, geom: Geometry,
                 branch: WaveBranch, v_max: float) -> tuple[float, float] | None:
-    """Transverse-slowness window of the head piece at time t, or None."""
-    lo, hi, keep = _head_window_vec(t, arrivals, geom, branch, v_max)
-    return (float(lo[0]), float(hi[0])) if keep[0] else None
+    """Transverse-slowness window of the head piece at time t, or None.
+
+    Between the head onset and the volume arrival the window is
+    (0, q1(t)); between the volume arrival and the head end it shrinks to
+    (q0(t), q1(t)).
+    """
+    if not (arrivals.head_exists and arrivals.t_h1 < t < arrivals.t_h2):
+        return None
+    lo = q0_of_t(t, geom, branch) if t > arrivals.t0 else 0.0
+    hi = q1_of_t(t, geom, branch, v_max)
+    return (lo, hi) if hi > lo else None
 
 
 def phase_time(gamma_val, q, geom: Geometry, branch: WaveBranch):

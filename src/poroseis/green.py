@@ -12,13 +12,16 @@ along the deformed contours of :mod:`poroseis.cagniard`:
                             + integral over the head window of
                                 Re[W(upsilon) * dupsilon/dt] dq ]
 
-The window bounds at each t follow from the arrival-time structure.  All
-samples of a trace are classified and their windows inverted at once; each
-window's quadrature nodes are then evaluated together in one pass.  The
-fluid-side pressure is carried by its first time integral xi (the natural
-primitive produced by the contour construction); its displacements and the
-porous-side displacements are ordinary Green functions ready for wavelet
-convolution.
+Each sample's regime, taken once from the arrival-time structure, decides
+its windows: a quiet sample, one within 1e-12 * t of the onset included, is
+exactly 0; a head sample integrates the head window (0, q1); a volume
+sample the volume window (0, q0); a mixed sample both, the head window
+shrunk to (q0, q1).  All samples of a trace are classified and their
+windows inverted at once; each window's quadrature nodes are then
+evaluated together in one pass.  The fluid-side pressure is carried by its
+first time integral xi (the natural primitive produced by the contour
+construction); its displacements and the porous-side displacements are
+ordinary Green functions ready for wavelet convolution.
 """
 
 from __future__ import annotations
@@ -148,14 +151,9 @@ def quadrature(integrand, a: float, b: float, cfg: QuadratureConfig,
 
     values = np.asarray(integrand(nodes))
     if not np.all(np.isfinite(values)):
-        if values.ndim == 1:
-            i = int(np.argmax(~np.isfinite(values)))
-            bad_val = values[i]
-        else:
-            i = int(np.argmax(~np.all(np.isfinite(values), axis=tuple(
-                range(1, values.ndim)))))
-            bad_val = values[i]
-        raise NonFiniteIntegrand(float(nodes[i]), bad_val)
+        bad = ~np.all(np.isfinite(values.reshape(n, -1)), axis=1)
+        i = int(np.argmax(bad))
+        raise NonFiniteIntegrand(float(nodes[i]), values[i])
     if values.ndim == 1:
         return float(np.sum(weights * values))
     return np.tensordot(weights, values, axes=(0, 0))
@@ -233,7 +231,10 @@ def _classify(t: np.ndarray, arr: ArrivalTimes) -> tuple[np.ndarray, np.ndarray]
     """Regime of every sample, nudging samples off window edges.
 
     Returns the regime codes (_QUIET, _HEAD, _MIXED, _VOLUME) and the
-    (possibly nudged) evaluation times.
+    (possibly nudged) evaluation times.  Samples within _EDGE_BAND of an
+    onset (t_h1, or t0 without a head segment) are quiet.  Samples within
+    the band of t0 or t_h2 are moved to 2 * band before that edge, so they
+    take the head or mixed windows of a time just short of it.
     """
     band = _EDGE_BAND * np.abs(t)
     if not arr.head_exists:
@@ -246,26 +247,30 @@ def _classify(t: np.ndarray, arr: ArrivalTimes) -> tuple[np.ndarray, np.ndarray]
     return regime, t_use
 
 
-def _windows(t_use, arr: ArrivalTimes, geom: Geometry, branch: WaveBranch,
+def _windows(t_use, regime, geom: Geometry, branch: WaveBranch,
              v_max: float):
     """Quadrature windows of every live sample, grouped by rule.
 
     Returns (integrand, endpoint, rows, a, b) tuples: integrand is
     _volume_values or _head_values, rows the sample indices, (a, b) the
-    window bounds.  Volume windows come first, so each sample adds its
-    volume part before its head part.  Head windows past the volume arrival
-    (mixed samples) start at the volume bound q0 and take the lower_sqrt
-    rule.
+    window bounds.  The regime codes alone pick the windows:
+    - mixed and volume samples get the volume window (0, q0), upper_sqrt;
+    - head samples get the head window (0, q1), regular;
+    - mixed samples get the head window (q0, q1), lower_sqrt.
+    Volume windows come first, so each sample adds its volume part before
+    its head part.  An empty window (b <= a) integrates to 0.
     """
-    lo, q0, keep = cagniard._volume_window_vec(t_use, arr, geom, branch)
-    rows = np.flatnonzero(keep)
-    groups = [(_volume_values, "upper_sqrt", rows, lo[rows], q0[rows])]
-    lo, hi, keep = cagniard._head_window_vec(t_use, arr, geom, branch, v_max,
-                                             q0)
-    for endpoint, part in (("regular", t_use <= arr.t0),
-                           ("lower_sqrt", t_use > arr.t0)):
-        rows = np.flatnonzero(keep & part)
-        groups.append((_head_values, endpoint, rows, lo[rows], hi[rows]))
+    vol = np.flatnonzero(regime >= _MIXED)  # mixed or volume
+    q0 = cagniard._q0_vec(t_use[vol], geom, branch) if vol.size \
+        else np.zeros(0)
+    mixed = regime[vol] == _MIXED
+    head = np.flatnonzero(regime == _HEAD)
+    groups = [(_volume_values, "upper_sqrt", vol, np.zeros_like(q0), q0)]
+    for endpoint, rows, lo in (("regular", head, np.zeros(head.size)),
+                               ("lower_sqrt", vol[mixed], q0[mixed])):
+        if rows.size:
+            groups.append((_head_values, endpoint, rows, lo,
+                           cagniard.q1_of_t(t_use[rows], geom, branch, v_max)))
     return [g for g in groups if g[2].size]
 
 
@@ -274,17 +279,20 @@ def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
                    n_channels: int) -> np.ndarray:
     """Shared time loop of the reflected and transmitted traces.
 
-    The windows of all samples are found at once; each window's nodes are
-    then evaluated in one pass.  Transmitted branches solve the stationary
-    crossing once per node, warm-started from the previous window's
-    crossings at the same mapped nodes.  A failure names the sample it
-    happened at, its regime and the branch.
+    _classify's regime is the one decision per sample: quiet samples,
+    those within the onset band included, stay exactly 0, and the others
+    integrate the windows _windows gives their regime.  The windows of all
+    samples are found at once; each window's nodes are then evaluated in
+    one pass.  Transmitted branches solve the stationary crossing once per
+    node, warm-started from the previous window's crossings at the same
+    mapped nodes.  A failure names the sample it happened at, its regime
+    and the branch.
     """
     arr = arrival_times(geom, branch, model.v_max)
     regime, t_use = _classify(t_grid, arr)
     out = np.zeros((t_grid.size, n_channels))
     try:
-        windows = _windows(t_use, arr, geom, branch, model.v_max)
+        windows = _windows(t_use, regime, geom, branch, model.v_max)
     except PoroseisError as exc:
         hit = np.flatnonzero(t_use == getattr(exc, "t", None))
         if hit.size:

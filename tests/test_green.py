@@ -62,8 +62,20 @@ def test_quadrature_flags_non_finite_values():
         out[q > 0.5] = np.nan
         return out
 
-    with pytest.raises(NonFiniteIntegrand):
+    def bad_row(q):
+        out = np.ones((q.size, 3))
+        out[q > 0.3, 1] = np.inf
+        return out
+
+    # Midpoint nodes are 0.01, 0.03, ...: the first past 0.5 is 0.51 and
+    # the first past 0.3 is 0.31.
+    with pytest.raises(NonFiniteIntegrand) as info:
         quadrature(bad, 0.0, 1.0, cfg)
+    assert info.value.q == pytest.approx(0.51, abs=1e-15)
+    with pytest.raises(NonFiniteIntegrand) as info:
+        quadrature(bad_row, 0.0, 1.0, cfg)
+    assert info.value.q == pytest.approx(0.31, abs=1e-15)
+    assert list(info.value.value) == [1.0, np.inf, 1.0]
 
 
 def test_rotation_identities(rng):
@@ -113,12 +125,20 @@ def test_incident_requires_fluid_side(model, porous_receiver):
         incident_trace(model, porous_receiver, np.linspace(0.0, 1.0, 10))
 
 
+def _onset_band(onset):
+    """Samples just past an onset, inside the 1e-12 * t edge band."""
+    return onset + np.array([1e-14, 1e-13, 0.5e-12 * onset])
+
+
 def test_reflected_trace_quiet_then_live(model, fluid_receiver, fast_cfg):
-    """Exact zeros before the reflected arrival, activity after it."""
+    """Exact zeros before the reflected arrival and inside the edge band
+    just past it, activity after it."""
     t0 = math.hypot(400.0, 1033.0) / 1500.0
-    t = np.linspace(0.5, 1.1, 61)
+    band = _onset_band(branch_arrivals(model, fluid_receiver)[
+        WaveKind.REFLECTED].t0)
+    t = np.sort(np.concatenate([np.linspace(0.5, 1.1, 61), band]))
     out = reflected_trace(model, fluid_receiver, t, fast_cfg)
-    quiet = t < t0
+    quiet = (t < t0) | np.isin(t, band)
     assert not np.any(out.xi[quiet])
     assert not np.any(out.u_x[quiet]) and not np.any(out.u_z[quiet])
     live = t > 1.01 * t0
@@ -166,13 +186,16 @@ def test_branch_arrival_bookkeeping(model, fluid_receiver, porous_receiver):
 
 
 def test_transmitted_onset_matches_arrival(model, porous_receiver, fast_cfg):
-    """Each branch is exactly zero until its own first arrival."""
+    """Each branch is exactly zero until its own first arrival and inside
+    the edge band just past it."""
     arr = branch_arrivals(model, porous_receiver)
     for kind, a in arr.items():
         onset = a.t_h1 if a.head_exists else a.t0
-        t = np.linspace(0.9 * onset, 1.2 * onset, 31)
+        band = _onset_band(onset)
+        t = np.sort(np.concatenate([np.linspace(0.9 * onset, 1.2 * onset, 31),
+                                    band]))
         out = transmitted_trace(model, porous_receiver, kind, t, fast_cfg)
-        quiet = t < onset * (1.0 - 1e-9)
+        quiet = (t < onset * (1.0 - 1e-9)) | np.isin(t, band)
         assert not np.any(out.u_x[quiet]) and not np.any(out.u_z[quiet])
         live = t > 1.05 * onset
         assert np.any(np.abs(out.u_z[live]) > 0.0)
@@ -204,9 +227,10 @@ def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
 
 def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
     """The batched time loop gives the per-sample traces to 1e-12 of peak,
-    on volume, head and mixed windows, one window per interface solve; the
-    engine solves in closed form, never calls the LAPACK solve and passes
-    every solve through the shared singularity gates once."""
+    on volume, head and mixed windows and inside the edge bands at the
+    onset and t_h2 (1e-11 at the t0 nudge), one window per interface solve;
+    the engine solves in closed form, never calls the LAPACK solve and
+    passes every solve through the shared singularity gates once."""
     from poroseis import coefficients, green
     from poroseis.cagniard import (arrival_times, reflected_branch,
                                    transmitted_branches)
@@ -246,7 +270,12 @@ def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
         geom = green._geometry_for(model, receiver)
         arr = arrival_times(geom, branch, model.v_max)
         onset = arr.t_h1 if arr.head_exists else arr.t0
-        t = np.linspace(0.98 * onset, 1.3 * onset, 120)
+        in_band, at_t0 = [onset * (1.0 + 5e-13)], []
+        if branch.kind is WaveKind.TRANSMITTED_PS:
+            in_band += [arr.t_h2 * (1.0 + s) for s in (-5e-13, 5e-13)]
+            at_t0 = [arr.t0 * (1.0 + s) for s in (-5e-13, 5e-13)]
+        t = np.sort(np.concatenate([np.linspace(0.98 * onset, 1.3 * onset,
+                                                120), in_band, at_t0]))
         expect, regime = _per_sample_trace(model, geom, branch, t, cfg,
                                            n_channels)
         seen |= {(branch.kind, green._REGIME_NAMES[r]) for r in regime}
@@ -256,8 +285,13 @@ def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
         assert set(batches) == {cfg.n}
         assert gates == batches
         assert not lapack_calls
+        # Nudged off t0, the head window ends next to the saddle, where
+        # T'(zeta) -> 0 magnifies the last bits of the stationary crossing;
+        # the engine warm-starts that crossing from the previous window and
+        # the reference does not, and the two then differ by 2.8e-12 of peak.
+        rel = np.where(np.isin(t, at_t0), 1e-11, 1e-12)[:, None]
         peak = np.max(np.abs(expect), axis=0)
-        assert np.all(np.abs(got - expect) <= 1e-12 * peak), branch.kind
+        assert np.all(np.abs(got - expect) <= rel * peak), branch.kind
     assert {(WaveKind.REFLECTED, "volume"),
             (WaveKind.TRANSMITTED_PF, "volume"),
             (WaveKind.TRANSMITTED_PS, "head"),

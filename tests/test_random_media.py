@@ -58,17 +58,22 @@ def random_setup(seed, acoustic):
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_random_media_give_finite_traces(acoustic, seed):
     """Every branch, sampled from before its onset through the end of any
-    head segment, at a small quadrature order."""
+    head segment, at a small quadrature order; a sample inside the edge
+    band just past the onset is exactly zero."""
     model, receiver = random_setup(seed, acoustic)
     cfg = QuadratureConfig(n=24)
     for kind, arr in branch_arrivals(model, receiver).items():
         onset, end = arr.t0, arr.t0
         if arr.head_exists:
             onset, end = arr.t_h1, max(arr.t0, arr.t_h2)
-        t_grid = np.linspace(0.99 * onset, 1.05 * end + 0.01, 24)
+        in_band = onset * (1.0 + 5e-13)
+        t_grid = np.sort(np.append(
+            np.linspace(0.99 * onset, 1.05 * end + 0.01, 24), in_band))
         trace = transmitted_trace(model, receiver, kind, t_grid, cfg)
         assert np.all(np.isfinite(trace.u_x)) and np.all(np.isfinite(trace.u_z))
         assert np.any(trace.u_z != 0.0)
+        band = t_grid == in_band
+        assert not np.any(trace.u_x[band]) and not np.any(trace.u_z[band])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
