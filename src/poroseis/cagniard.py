@@ -174,69 +174,56 @@ def snell_time(xi, q, geom: Geometry, branch: WaveBranch, slow=None):
 def _bracketed_newton(func, x, lo, hi, tol, max_iter):
     """Safeguarded Newton-bisection (rtsafe, Numerical Recipes 9.4), vectorized.
 
-    func(x_sub, idx) returns the value of an increasing function at the
-    points idx and a function slope(live) that gives its slope at the points
-    idx[live].  Only points with |value| > tol[idx] iterate, and slope is
-    called only while some do, so the last evaluation of a solve takes no
-    slope.  The sign of the value keeps the bracket (lo, hi), and a step
-    leaving it (which covers non-finite steps and non-positive slopes)
-    bisects instead.
-    x, lo and hi are updated in place; x is returned and the caller judges it.
+    func(x) returns the values of an increasing function at x and a thunk
+    slope() that gives its slope there.  Only points with |value| > tol
+    step; the others keep their value, so each point's result depends on
+    its own inputs alone.  slope is called only while some point steps, so
+    the last evaluation of a solve takes no slope.  The sign of the value
+    keeps the bracket (lo, hi), and a step leaving it (which covers
+    non-finite steps and non-positive slopes) bisects instead.  Returns x;
+    the caller judges it.
     """
-    idx = np.arange(x.size)
     for _ in range(max_iter):
-        f, slope = func(x[idx], idx)
-        live = np.abs(f) > tol[idx]
+        f, slope = func(x)
+        live = np.abs(f) > tol
         if not np.any(live):
             break
-        df = slope(live)
-        idx, f = idx[live], f[live]
-        xs = x[idx]
-        lo_i = np.where(f < 0.0, xs, lo[idx])
-        hi_i = np.where(f > 0.0, xs, hi[idx])
+        lo = np.where(f < 0.0, x, lo)
+        hi = np.where(f > 0.0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = xs - f / df
-        inside = (cand > lo_i) & (cand < hi_i)
-        x[idx] = np.where(inside, cand, 0.5 * (lo_i + hi_i))
-        lo[idx] = lo_i
-        hi[idx] = hi_i
+            cand = x - f / slope()
+        inside = (cand > lo) & (cand < hi)
+        x = np.where(live, np.where(inside, cand, 0.5 * (lo + hi)), x)
     return x
 
 
-def _xi_zero(q, geom: Geometry, branch: WaveBranch, start=None):
+def _xi_zero(q, geom: Geometry, branch: WaveBranch):
     """Interface crossing of the fastest broken ray.
 
     The one-way time is strictly convex in xi, so its slope has exactly one
     root in [0, x], found by _bracketed_newton on the slope (whose
-    derivative is the positive curvature).  start is the first iterate,
-    e.g. the crossing at a nearby q; by default the crossing of the
-    straight source-receiver line.
+    derivative is the positive curvature).  The first iterate is the
+    small-angle Snell crossing s_b*x*h / (s_a*|z| + s_b*h), exact for the
+    mirrored reflected path.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if geom.x == 0.0:
         return np.zeros_like(q)
-    shape = q.shape
-    q = q.ravel()
     sa, sb = np.sqrt(_slowness_sq(q, branch))
     h, d, x = geom.h, geom.z, geom.x
-    if start is None:
-        xi = np.full_like(q, x * h / (h + abs(d)))
-    else:
-        xi = np.clip(np.broadcast_to(start, shape).ravel(), 0.0, x)
 
-    def slope(xs, idx):
+    def slope(xs):
         xb = x - xs
         ra = 1.0 / (xs * xs + h * h)  # 1 / leg length squared
         rb = 1.0 / (xb * xb + d * d)
-        ua = sa[idx] * np.sqrt(ra)
-        ub = sb[idx] * np.sqrt(rb)
-        return ua * xs - ub * xb, lambda live: (
-            (h * h) * ua * ra + (d * d) * ub * rb)[live]
+        ua = sa * np.sqrt(ra)
+        ub = sb * np.sqrt(rb)
+        return ua * xs - ub * xb, lambda: (h * h) * ua * ra + (d * d) * ub * rb
 
     tol = _XI_SLOPE_ULPS * np.finfo(float).eps * (sa + sb)
-    _bracketed_newton(slope, xi, np.zeros_like(q), np.full_like(q, x), tol,
-                      _XI_MAX_ITER)
-    return xi.reshape(shape)
+    return _bracketed_newton(slope, sb * (x * h) / (sa * abs(d) + sb * h),
+                             np.zeros_like(q), np.full_like(q, x), tol,
+                             _XI_MAX_ITER)
 
 
 def _t0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None, slow=None):
@@ -353,34 +340,33 @@ def _q0_vec(t, geom: Geometry, branch: WaveBranch):
         bad = float(t[np.argmax(t < t0)])
         raise DomainError(f"t={bad} is before the volume arrival {t0}", t=bad)
 
-    hi_val = max(2.0 / branch.v_bottom, 2.0 / branch.v_top)
+    # Each sample doubles its own upper bracket until t0 reaches it, so that
+    # no sample's window depends on the other times of the call.
+    hi = np.full_like(t, max(2.0 / branch.v_bottom, 2.0 / branch.v_top))
     for _ in range(200):
-        if np.all(_t0_vec(np.full(1, hi_val), geom, branch) >= t.max()):
+        short = _t0_vec(hi, geom, branch) < t
+        if not np.any(short):
             break
-        hi_val *= 2.0
+        hi = np.where(short, 2.0 * hi, hi)
     else:
-        raise ConvergenceFailure(float(t.max()), hi_val, branch.kind.value,
+        i = int(np.argmax(short))
+        raise ConvergenceFailure(float(t[i]), float(hi[i]), branch.kind.value,
                                  "volume-window inversion found no upper bracket")
 
-    # _bracketed_newton on t0(q) - t from the midpoint of (0, hi_val).  Each
-    # evaluation warm-starts its crossing from the previous one at the same
-    # t; the crossing is stationary, so the slope in q needs no xi term.
+    # _bracketed_newton on t0(q) - t from the midpoint of (0, hi).  The
+    # crossing is stationary, so the slope in q needs no xi term.
     h, d = geom.h, abs(geom.z)
-    xi = np.full_like(t, geom.x * h / (h + d))
 
-    def excess(q, idx):
-        xs = xi[idx] = _xi_zero(q, geom, branch, start=xi[idx])
+    def excess(q):
+        xs = _xi_zero(q, geom, branch)
         sa, sb = np.sqrt(_slowness_sq(q, branch))
         la = np.hypot(xs, h)
         lb = np.hypot(geom.x - xs, d)
-        return la * sa + lb * sb - t[idx], \
-            lambda live: (q * (la / sa + lb / sb))[live]
+        return la * sa + lb * sb - t, lambda: q * (la / sa + lb / sb)
 
-    q0 = _bracketed_newton(excess, np.full_like(t, 0.5 * hi_val),
-                           np.zeros_like(t), np.full_like(t, hi_val),
+    q0 = _bracketed_newton(excess, 0.5 * hi, np.zeros_like(t), hi,
                            1e-12 * np.maximum(t, 1e-300), 80)
-    xi = _xi_zero(q0, geom, branch, start=xi)
-    resid = np.abs(_t0_vec(q0, geom, branch, xi) - t)
+    resid = np.abs(_t0_vec(q0, geom, branch) - t)
     if np.any(resid > 1e-9 * np.maximum(t, 1e-300)):
         i = int(np.argmax(resid))
         raise ConvergenceFailure(float(t[i]), float(q0[i]), branch.kind.value,
@@ -460,7 +446,7 @@ def _flat_q(q):
     return q.ravel(), q.shape
 
 
-def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
+def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
     """Volume-contour points for one time t and an array of q, with d/dt.
 
     Returns gamma, dgamma/dt and the vertical slownesses kappa_top and
@@ -479,9 +465,9 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
     _contour_steps).  Each kappa is then taken once with branch_sqrt.  The
     one fallback: points whose |T(gamma) - t| still misses the target go to
     the derivative-free planar residual search _plane_search from the
-    saddle seed, which raises ConvergenceFailure where it stalls.  xi0, the
-    stationary crossing at q (see _xi_zero), gives both the fictitious
-    arrival and the saddle; it is solved here when not given.
+    saddle seed, which raises ConvergenceFailure where it stalls.  The
+    stationary crossing at q (see _xi_zero) gives both the fictitious
+    arrival and the saddle.
     """
     t = float(t)
     q, shape = _flat_q(q)
@@ -507,9 +493,7 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch, xi0=None):
         kap = kap.reshape(shape)
         return gam.reshape(shape), dgdt.reshape(shape), kap, kap
 
-    if xi0 is None:
-        xi0 = _xi_zero(q, geom, branch)
-    xi0 = np.ravel(xi0)
+    xi0 = _xi_zero(q, geom, branch)
     sa2, sb2 = _slowness_sq(q, branch)
     slow = (np.sqrt(sa2), np.sqrt(sb2))
     t0q = _t0_vec(q, geom, branch, xi0, slow)
@@ -659,15 +643,13 @@ def upsilon(t: float, q: float, geom: Geometry, branch: WaveBranch,
                         residual=float(res[0]))
 
 
-def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float,
-                 xi0=None):
+def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float):
     """Head-segment points for one time t and an array of q.
 
     Solves T(-i*zeta) = t for real zeta between the fastest branch point
     and the saddle slowness, where T is real and strictly increasing, with
     _bracketed_newton from the midpoint; the time derivative is -i/T'(zeta),
-    whose negative imaginary part is asserted.  xi0 is the stationary
-    crossing at q when already known (see _gamma_vec).
+    whose negative imaginary part is asserted.
     """
     t = float(t)
     q, shape = _flat_q(q)
@@ -675,23 +657,21 @@ def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float,
     x = geom.x
     sa2, sb2 = _slowness_sq(q, branch)
     tip = np.sqrt(1.0 / v_max ** 2 + q * q)
-    p0 = _p0_vec(q, geom, branch, None if xi0 is None else np.ravel(xi0))
+    p0 = _p0_vec(q, geom, branch)
 
-    def t_of(zeta, i=slice(None)):
-        pa = np.sqrt(np.maximum(sa2[i] - zeta * zeta, 0.0))
-        pb = np.sqrt(np.maximum(sb2[i] - zeta * zeta, 0.0))
+    def t_of(zeta):
+        pa = np.sqrt(np.maximum(sa2 - zeta * zeta, 0.0))
+        pb = np.sqrt(np.maximum(sb2 - zeta * zeta, 0.0))
         return d_top * pa + d_bot * pb + zeta * x
 
-    def t_slope(zeta, i=slice(None)):
-        pa = np.sqrt(np.maximum(sa2[i] - zeta * zeta, 1e-300))
-        pb = np.sqrt(np.maximum(sb2[i] - zeta * zeta, 1e-300))
+    def t_slope(zeta):
+        pa = np.sqrt(np.maximum(sa2 - zeta * zeta, 1e-300))
+        pb = np.sqrt(np.maximum(sb2 - zeta * zeta, 1e-300))
         return x - d_top * zeta / pa - d_bot * zeta / pb
 
     tol = _UPSILON_TOL * (1.0 + abs(t))
-    zeta = _bracketed_newton(
-        lambda z, i: (t_of(z, i) - t,
-                      lambda live: t_slope(z[live], i[live])),
-        0.5 * (tip + p0), tip, p0, np.full_like(q, tol), 100)
+    zeta = _bracketed_newton(lambda z: (t_of(z) - t, lambda: t_slope(z)),
+                             0.5 * (tip + p0), tip, p0, tol, 100)
     resid = np.abs(t_of(zeta) - t)
     if np.any(resid > tol):
         i = int(np.argmax(resid > tol))

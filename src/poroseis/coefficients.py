@@ -34,7 +34,7 @@ system, which need neither the row and column scales nor the norm of the
 matrix:
 
     (a)  max(1, |a11|, |a12|) * max_j |x_j| < (_COND_LIMIT / 2) * |b1|,
-    (b)  residual <= (_RESIDUAL_BOUND / 2) * max(|b0|, |b1|),
+    (b)  residual < (_RESIDUAL_BOUND / 2) * max(|b0|, |b1|),
 
 with the gates' own four-row residual.  Each implies its gate.  Every
 column scale of the row-equilibrated matrix is at most 1, and the gates'
@@ -43,7 +43,9 @@ so (a) keeps the condition bound below _COND_LIMIT / 2.  The gates'
 residual scale is at least max(|b0|, |b1|), so (b) keeps the relative
 residual below _RESIDUAL_BOUND / 2.  The factor 1/2 covers the rounding
 of the few operations on either side.  A NaN anywhere or an inf in the
-solution fails (a) or (b).
+solution fails (a) or (b), and so does an infinite entry: it makes the
+residual inf or NaN, which the strict inequality (b) rejects even where
+the bound is inf too.
 Only a batch with a system outside them goes through the full gates
 (_full_gates), which alone raise SingularSystem, so every verdict, message
 and first failing index is theirs.
@@ -264,7 +266,7 @@ def _check_solution(e: InterfaceEntries, x, q_x, q_y):
     _certified,
 
         (a)  max(1, |a11|, |a12|) * max_j |x_j| < (_COND_LIMIT / 2) * |b1|,
-        (b)  residual <= (_RESIDUAL_BOUND / 2) * max(|b0|, |b1|).
+        (b)  residual < (_RESIDUAL_BOUND / 2) * max(|b0|, |b1|).
 
     They are sound: every column scale of the equilibrated system is at
     most 1 and the full gates' condition denominator is at least
@@ -281,15 +283,15 @@ def _check_solution(e: InterfaceEntries, x, q_x, q_y):
 def _certified(e: InterfaceEntries, x):
     """Per system, whether inequalities (a) and (b) of _check_solution hold.
 
-    The residual is that of the full gates (_residual).  A NaN anywhere or
-    an inf in the solution makes a system fail.
+    The residual is that of the full gates (_residual).  A NaN anywhere, an
+    inf in the solution or an infinite entry makes a system fail.
     """
     with np.errstate(all="ignore"):
         abs_b1 = np.abs(e.b1)
         ok = _max(1.0, np.abs(e.a11), np.abs(e.a12)) \
             * _max(*(np.abs(v) for v in x)) < (0.5 * _COND_LIMIT) * abs_b1
         ok &= _residual(e, x) \
-            <= (0.5 * _RESIDUAL_BOUND) * np.maximum(np.abs(e.b0), abs_b1)
+            < (0.5 * _RESIDUAL_BOUND) * np.maximum(np.abs(e.b0), abs_b1)
     return ok
 
 
@@ -302,9 +304,11 @@ def _full_gates(e: InterfaceEntries, x, q_x, q_y):
     of LAPACK xGEEQU.  In order, a non-finite solution, a lower bound
     max|x_j / c_j| / max|r_i b_i| of the equilibrated condition number at
     or above _COND_LIMIT, and a relative residual on the original system
-    above _RESIDUAL_BOUND each raise SingularSystem at the first failing
+    not below _RESIDUAL_BOUND each raise SingularSystem at the first failing
     slowness pair.  Infinite entries make the scales inf / inf and the
-    residual inf * 0; those NaNs raise no numpy warning.
+    residual inf * 0; those NaNs raise no numpy warning.  An infinite entry
+    makes the residual inf or NaN and its scale inf, which the strict
+    residual inequality rejects.
     """
     a00, a01, a02, a03, a11, a12, a21, a22, a23, a31, a32, a33, b0, b1 = e
     r, t_pf, t_ps, t_s = x
@@ -338,7 +342,7 @@ def _full_gates(e: InterfaceEntries, x, q_x, q_y):
                   1.0 + g31 + g32 + g33)
     resid = _residual(e, x)
     scale = np.maximum(np.maximum(abs_b0, abs_b1), norm_a * _max(*abs_x))
-    bad = ~(resid <= _RESIDUAL_BOUND * scale)
+    bad = ~(resid < _RESIDUAL_BOUND * scale)
     if np.any(bad):
         _fail(q_x, q_y, bad, "relative residual", resid / scale)
 

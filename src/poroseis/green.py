@@ -18,14 +18,16 @@ exactly 0; a head sample integrates the head window (0, q1); a volume
 sample the volume window (0, q0); a mixed sample both, the head window
 shrunk to (q0, q1).  All samples of a trace are classified and their
 windows inverted at once; each window's quadrature nodes are then
-evaluated together in one pass.  The fluid-side pressure is carried by its
-first time integral xi (the natural primitive produced by the contour
-construction); its displacements and the porous-side displacements are
-ordinary Green functions ready for wavelet convolution.
+evaluated together in one pass.  No state passes between samples, so each
+sample's value depends on its own time alone.  The fluid-side pressure is
+carried by its first time integral xi (the natural primitive produced by
+the contour construction); its displacements and the porous-side
+displacements are ordinary Green functions ready for wavelet convolution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,14 +161,17 @@ def quadrature(integrand, a: float, b: float, cfg: QuadratureConfig,
     return np.tensordot(weights, values, axes=(0, 0))
 
 
-def _channel_weights(branch: WaveBranch, model: HalfspaceModel, i_gam, qq,
-                     k_plus, k_pf, k_ps, k_s, coef):
+def _channel_weights(branch: WaveBranch, model: HalfspaceModel, point, qq,
+                     kappas, coef):
     """Per-channel contour weights W for one branch.
 
-    i_gam is i*gamma (real on head segments), qq is gamma^2 + q^2 and coef
-    the interface coefficients (r, t_pf, t_ps, t_s).  The returned columns
+    point is the contour point gamma, qq is gamma^2 + q^2, kappas the
+    vertical slownesses (k_plus, k_pf, k_ps, k_s) at it and coef the
+    interface coefficients (r, t_pf, t_ps, t_s).  The returned columns
     follow the channel order of the trace dataclasses.
     """
+    i_gam = 1j * point
+    k_plus, k_pf, k_ps, k_s = kappas
     if branch.kind is WaveKind.REFLECTED:
         refl = coef[0]
         rho = model.acoustic.rho_plus
@@ -182,49 +187,55 @@ def _channel_weights(branch: WaveBranch, model: HalfspaceModel, i_gam, qq,
     return np.stack([-i_gam * k_s * amp, qq * amp], axis=1)
 
 
+def _contour_values(model: HalfspaceModel, branch: WaveBranch, point, dpdt,
+                    q, kappas):
+    """Contour integrand Re[W(point) * dpoint/dt], one channel row per node.
+
+    The one integrand of both contour pieces: point is a volume or head
+    point at the nodes q, dpdt its time derivative and kappas the vertical
+    slownesses (k_plus, k_pf, k_ps, k_s) on the rim that piece lies on.
+    """
+    qq = point * point + q * q
+    coef = _solve_structured(
+        _structural_entries(model.acoustic, model.poro, qq, *kappas), point, q)
+    w = _channel_weights(branch, model, point, qq, kappas, coef)
+    return (w * dpdt[:, None]).real
+
+
 def _volume_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
-                   t: float, q, xi0=None):
+                   t: float, q):
     """Volume integrand Re[W(gamma) * dgamma/dt], one channel row per node.
 
-    xi0 as in cagniard._gamma_vec.  The contour solve hands over the
-    vertical slownesses of the fluid and of the branch's own wave, so only
-    the other porous ones are computed here, from gamma^2 taken once: the
-    argument (1/v^2 + gamma^2) + q^2 is summed as in branch_math.kappa, so
-    the values are the same to the bit.
+    The contour solve hands over the vertical slownesses of the fluid and
+    of the branch's own wave, so only the other porous ones are computed
+    here, from gamma^2 taken once: the argument (1/v^2 + gamma^2) + q^2 is
+    summed as in branch_math.kappa, so the values are the same to the bit.
     """
-    ac, pd = model.acoustic, model.poro
-    gam, dgdt, k_plus, k_own = cagniard._gamma_vec(t, q, geom, branch, xi0)
+    pd = model.poro
+    gam, dgdt, k_plus, k_own = cagniard._gamma_vec(t, q, geom, branch)
     gam_sq, q_sq = gam * gam, q * q
     # Matching on the speed also reuses k_own where two speeds coincide,
     # since the slownesses then coincide as well.
-    k_pf, k_ps, k_s = (
+    k_porous = tuple(
         k_own if v == branch.v_bottom
         else branch_sqrt((1.0 / (v * v) + gam_sq) + q_sq)
         for v in (pd.v_pf, pd.v_ps, pd.v_s))
-    qq = gam_sq + q_sq
-    coef = _solve_structured(
-        _structural_entries(ac, pd, qq, k_plus, k_pf, k_ps, k_s), gam, q)
-    w = _channel_weights(branch, model, 1j * gam, qq,
-                         k_plus, k_pf, k_ps, k_s, coef)
-    return (w * dgdt[:, None]).real
+    return _contour_values(model, branch, gam, dgdt, q, (k_plus, *k_porous))
 
 
 def _head_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
-                 t: float, q, xi0=None):
-    """Head integrand Re[W(upsilon) * dupsilon/dt], one channel row per node."""
+                 t: float, q):
+    """Head integrand Re[W(upsilon) * dupsilon/dt], one channel row per node.
+
+    Every vertical slowness takes the rim below the cuts the head segment
+    lies on (branch_math.kappa_below_cut).
+    """
     ac, pd = model.acoustic, model.poro
-    ups, dups, _ = cagniard._upsilon_vec(t, q, geom, branch, model.v_max, xi0)
+    ups, dups, _ = cagniard._upsilon_vec(t, q, geom, branch, model.v_max)
     zeta = -ups.imag
-    k_plus = kappa_below_cut(ac.v_plus, zeta, q)
-    k_pf = kappa_below_cut(pd.v_pf, zeta, q)
-    k_ps = kappa_below_cut(pd.v_ps, zeta, q)
-    k_s = kappa_below_cut(pd.v_s, zeta, q)
-    qq = q * q - zeta * zeta
-    coef = _solve_structured(
-        _structural_entries(ac, pd, qq, k_plus, k_pf, k_ps, k_s), ups, q)
-    w = _channel_weights(branch, model, zeta + 0j, qq + 0j,
-                         k_plus, k_pf, k_ps, k_s, coef)
-    return (w * dups[:, None]).real
+    kappas = tuple(kappa_below_cut(v, zeta, q)
+                   for v in (ac.v_plus, pd.v_pf, pd.v_ps, pd.v_s))
+    return _contour_values(model, branch, ups, dups, q, kappas)
 
 
 def _classify(t: np.ndarray, arr: ArrivalTimes) -> tuple[np.ndarray, np.ndarray]:
@@ -283,10 +294,9 @@ def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     those within the onset band included, stay exactly 0, and the others
     integrate the windows _windows gives their regime.  The windows of all
     samples are found at once; each window's nodes are then evaluated in
-    one pass.  Transmitted branches solve the stationary crossing once per
-    node, warm-started from the previous window's crossings at the same
-    mapped nodes.  A failure names the sample it happened at, its regime
-    and the branch.
+    one pass.  No state passes from one window to the next, so every sample
+    is a function of its own time alone.  A failure names the sample it
+    happened at, its regime and the branch.
     """
     arr = arrival_times(geom, branch, model.v_max)
     regime, t_use = _classify(t_grid, arr)
@@ -298,17 +308,10 @@ def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
         if hit.size:
             raise _name_sample(exc, hit[0], t_grid, regime, branch)
         raise
-    transmitted = branch.kind is not WaveKind.REFLECTED
     for integrand, endpoint, rows, a, b in windows:
-        xi_prev = None
         for i, lo, hi in zip(rows, a, b):
-            def values(q, t=t_use[i]):
-                nonlocal xi_prev
-                if not transmitted:
-                    return integrand(model, geom, branch, t, q)
-                xi_prev = cagniard._xi_zero(q, geom, branch, xi_prev)
-                return integrand(model, geom, branch, t, q, xi_prev)
-
+            values = functools.partial(integrand, model, geom, branch,
+                                       t_use[i])
             try:
                 out[i] += quadrature(values, lo, hi, cfg, endpoint)
             except Exception as exc:

@@ -141,7 +141,7 @@ def test_closed_form_agrees_with_lapack_on_random_media(acoustic,
     monkeypatch.setattr(green, "_structural_entries", spy)
     cfg = QuadratureConfig(n=16)
     for seed in range(40):
-        model, receiver = random_setup(seed, acoustic)
+        model, receiver, _ = random_setup(seed, acoustic)
         for kind, arr in branch_arrivals(model, receiver).items():
             onset, end = arr.t0, arr.t0
             if arr.head_exists:
@@ -151,7 +151,9 @@ def test_closed_form_agrees_with_lapack_on_random_media(acoustic,
     monkeypatch.undo()
     seen = set()
     for args in systems:
-        seen.add("volume" if np.iscomplexobj(args[2]) else "head")
+        # A head point -i*zeta has a real square, so its qq has no
+        # imaginary part; a volume point off the axes gives one.
+        seen.add("head" if np.all(args[2].imag == 0.0) else "volume")
         resid, diff = _closed_form_errors(args)
         assert np.max(resid) <= 1e-13
         assert np.max(diff) <= 1e-11
@@ -228,6 +230,23 @@ def test_non_finite_entries_raise_without_warnings(solve, field, value):
         with pytest.raises(SingularSystem) as err:
             solve(_gate_entries(**{field: value}), Q_X, Q_Y)
     assert err.value.q_x == Q_X[1] and err.value.q_y == Q_Y[1]
+
+
+@pytest.mark.parametrize("field", ["a00", "a11", "a31", "b0", "b1"])
+def test_gates_reject_an_infinite_entry_at_a_finite_solution(field):
+    """With this entry of the second system set to inf, x = (1, 1, 0, 0)
+    stays finite but its residual there is inf: the certificate fails that
+    system, and the full gates and _check_solution raise SingularSystem at
+    it without a numpy warning."""
+    e = _gate_entries(**{field: np.inf})
+    x = tuple(np.full(2, v, dtype=complex) for v in (1.0, 1.0, 0.0, 0.0))
+    assert list(_certified(e, x)) == [True, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gate in (_full_gates, _check_solution):
+            with pytest.raises(SingularSystem) as err:
+                gate(e, x, Q_X, Q_Y)
+            assert err.value.q_x == Q_X[1] and err.value.q_y == Q_Y[1]
 
 
 def test_branch_point_raises_without_warnings(acoustic, poro):

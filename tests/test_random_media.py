@@ -19,13 +19,15 @@ from poroseis.cagniard import WaveKind
 from poroseis.cli import verify_grid
 from poroseis.errors import NonPhysical
 from poroseis.green import (HalfspaceModel, QuadratureConfig, Receiver,
-                            branch_arrivals, transmitted_trace)
+                            branch_arrivals, reflected_trace,
+                            transmitted_trace)
 from poroseis.media import PoroelasticParams, derive_poroelastic
 from poroseis.oracle import default_probe, laplace_of_trace, laplace_reference
 
 
 def random_setup(seed, acoustic):
-    """Admissible model and porous-side receiver drawn from one seed."""
+    """Admissible model, porous-side receiver and fluid-side receiver at the
+    same offset, drawn from one seed."""
     rng = np.random.default_rng(seed)
 
     def log_uniform(lo, hi):
@@ -51,36 +53,44 @@ def random_setup(seed, acoustic):
     model = HalfspaceModel(acoustic, poro, rng.uniform(50.0, 1000.0))
     receiver = Receiver(x=rng.uniform(0.0, 3000.0), y=0.0,
                         z=-rng.uniform(10.0, 1000.0))
-    return model, receiver
+    fluid = Receiver(x=receiver.x, y=0.0, z=rng.uniform(1.0, 1000.0))
+    return model, receiver, fluid
 
 
 @settings(max_examples=160, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_random_media_give_finite_traces(acoustic, seed):
-    """Every branch, sampled from before its onset through the end of any
-    head segment, at a small quadrature order; a sample inside the edge
-    band just past the onset is exactly zero."""
-    model, receiver = random_setup(seed, acoustic)
+    """Every branch, the three transmitted ones at the porous-side receiver
+    and the reflected one at the fluid-side receiver, sampled from before
+    its onset through the end of any head segment, at a small quadrature
+    order; a sample inside the edge band just past the onset is exactly
+    zero."""
+    model, porous, fluid = random_setup(seed, acoustic)
     cfg = QuadratureConfig(n=24)
-    for kind, arr in branch_arrivals(model, receiver).items():
-        onset, end = arr.t0, arr.t0
-        if arr.head_exists:
-            onset, end = arr.t_h1, max(arr.t0, arr.t_h2)
-        in_band = onset * (1.0 + 5e-13)
-        t_grid = np.sort(np.append(
-            np.linspace(0.99 * onset, 1.05 * end + 0.01, 24), in_band))
-        trace = transmitted_trace(model, receiver, kind, t_grid, cfg)
-        assert np.all(np.isfinite(trace.u_x)) and np.all(np.isfinite(trace.u_z))
-        assert np.any(trace.u_z != 0.0)
-        band = t_grid == in_band
-        assert not np.any(trace.u_x[band]) and not np.any(trace.u_z[band])
+    for receiver in (porous, fluid):
+        for kind, arr in branch_arrivals(model, receiver).items():
+            onset, end = arr.t0, arr.t0
+            if arr.head_exists:
+                onset, end = arr.t_h1, max(arr.t0, arr.t_h2)
+            in_band = onset * (1.0 + 5e-13)
+            t_grid = np.sort(np.append(
+                np.linspace(0.99 * onset, 1.05 * end + 0.01, 24), in_band))
+            if kind is WaveKind.REFLECTED:
+                trace = reflected_trace(model, receiver, t_grid, cfg)
+                channels = np.stack([trace.xi, trace.u_x, trace.u_z])
+            else:
+                trace = transmitted_trace(model, receiver, kind, t_grid, cfg)
+                channels = np.stack([trace.u_x, trace.u_z])
+            assert np.all(np.isfinite(channels)), kind
+            assert np.any(trace.u_z != 0.0), kind
+            assert not np.any(channels[:, t_grid == in_band]), kind
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_media_agree_with_oracle(acoustic, porous_receiver, seed):
     """Fast-P vertical displacement at the fixture geometry against the
     oracle at s = 40, to the 1e-3 of the verify gate."""
-    model, _ = random_setup(seed, acoustic)
+    model, _, _ = random_setup(seed, acoustic)
     model = HalfspaceModel(acoustic, model.poro, 500.0)
     s = 40.0
     grid = verify_grid(model, porous_receiver, WaveKind.TRANSMITTED_PF, s,
