@@ -224,14 +224,16 @@ def laplace_reference(probe: LaplaceProbe, model: HalfspaceModel,
     otherwise NotConverged; the doubled value is returned.  Each sum must
     also keep its round-off below 1e-6 of its value (machine epsilon times
     a bound on the sum of |terms| over |sum|), otherwise NotConverged: a
-    sum that cancels down to round-off can pass the doubling check.
+    sum that cancels down to round-off can pass the doubling check.  A
+    non-finite value, which passes both comparisons, is NotConverged too.
     """
     coarse = _integrate(model, probe.receiver, channel, probe.s,
                         probe.q_width, probe.n)
     fine = _integrate(model, probe.receiver, channel, probe.s,
                       probe.q_width, 2 * probe.n)
     scale = max(abs(fine), abs(coarse))
-    if scale > 0.0 and abs(fine - coarse) > 1e-4 * scale:
+    if not (math.isfinite(coarse) and math.isfinite(fine)) \
+            or (scale > 0.0 and abs(fine - coarse) > 1e-4 * scale):
         raise NotConverged(
             f"channel {channel} at s={probe.s}: n={probe.n} gives {coarse}, "
             f"doubled gives {fine}")

@@ -2,10 +2,12 @@
 
 import copy
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,13 @@ import pytest
 
 import poroseis
 from poroseis import cli
+from poroseis.cagniard import WaveKind
 from poroseis.cli import (ConfigError, fixture_config, load_config, main,
-                          run_compute, run_verify, verify_grid, _media_hash,
-                          _time_grid)
+                          run_compute, run_verify, verify_grid, verify_rows,
+                          _media_hash, _time_grid)
 from poroseis.errors import DomainError, NotConverged
-from poroseis.green import ReflectedChannels, branch_arrivals, green_trace
+from poroseis.green import (ReflectedChannels, branch_arrivals, green_trace,
+                            reflected_trace, transmitted_trace)
 
 
 def small_config(out_dir, **overrides):
@@ -324,10 +328,8 @@ def test_compute_writes_nothing_when_a_later_receiver_fails(tmp_path,
     assert not list(out.glob("receiver_*")) + list(out.glob("green_*"))
 
 
-def test_verify_grid_centres_the_onset(model, fluid_receiver):
-    from poroseis.cagniard import WaveKind
-    from poroseis.green import branch_arrivals
-
+def test_verify_grid_centres_the_onset(model, fluid_receiver,
+                                       porous_receiver):
     dt = 2.5e-4
     s = 20.0
     grid = verify_grid(model, fluid_receiver, WaveKind.REFLECTED, s, dt)
@@ -337,6 +339,17 @@ def test_verify_grid_centres_the_onset(model, fluid_receiver):
         or offset == pytest.approx(round(offset) - 0.5, abs=1e-9)
     assert grid[-1] - arr.t0 >= 34.0 / s
     np.testing.assert_allclose(np.diff(grid), dt, atol=1e-12)
+
+    # verify_rows transforms each s on a prefix of the smallest s's grid;
+    # that holds behind a head onset too (P-slow at the porous receiver).
+    assert branch_arrivals(model, porous_receiver)[
+        WaveKind.TRANSMITTED_PS].head_exists
+    for rec, kind in ((fluid_receiver, WaveKind.REFLECTED),
+                      (porous_receiver, WaveKind.TRANSMITTED_PS)):
+        long = verify_grid(model, rec, kind, s, dt)
+        short = verify_grid(model, rec, kind, 2.0 * s, dt)
+        assert short.size < long.size
+        assert short.tobytes() == long[:short.size].tobytes()
 
 
 def _verify_setup(tmp_path, monkeypatch, trace_value=1.0):
@@ -369,6 +382,57 @@ def test_verify_fails_past_tolerance(tmp_path, monkeypatch, capsys):
                         lambda probe, model, name, **kw: 1.0011)
     assert run_verify(setup) == 1
     assert "FAILED" in capsys.readouterr().err
+
+
+def test_verify_fails_a_nan_row(tmp_path, monkeypatch, capsys):
+    setup = _verify_setup(tmp_path, monkeypatch)
+    monkeypatch.setattr("poroseis.cli.laplace_of_trace", lambda *a: math.nan)
+    monkeypatch.setattr("poroseis.cli.laplace_reference", lambda *a: 1.0)
+    assert run_verify(setup) == 1
+    assert "worst relative error nan > 1e-3" in capsys.readouterr().err
+
+
+def test_verify_traces_each_branch_once(monkeypatch):
+    """Each (receiver, branch) is traced once, on the grid of the smallest s,
+    and the rows equal, bit for bit, those of each s on its own grid."""
+    cfg = fixture_config()
+    cfg["source"]["f0_hz"] = 1.0
+    cfg["time"]["dt_s"] = 1e-2
+    cfg["quadrature"]["n"] = 16
+    cfg["verify"]["s_values_per_s"] = [40.0, 20.0]
+    setup = load_config(cfg)
+    probes, calls = [], []
+
+    def oracle(probe, model, name):
+        probes.append(probe)
+        return probe.s
+
+    monkeypatch.setattr(cli, "laplace_reference", oracle)
+    own = {s: verify_rows(replace(setup, verify_s=[s]))[0]
+           for s in (40.0, 20.0)}
+    probes.clear()
+
+    def spy(trace):
+        def traced(model, rec, *args):
+            kind = args[0] if len(args) == 3 else WaveKind.REFLECTED
+            calls.append((rec, kind, args[-2]))
+            return trace(model, rec, *args)
+        return traced
+
+    monkeypatch.setattr(cli, "reflected_trace", spy(reflected_trace))
+    monkeypatch.setattr(cli, "transmitted_trace", spy(transmitted_trace))
+    rows, unconverged = verify_rows(setup)
+    fluid, porous = setup.receivers
+    assert [call[:2] for call in calls] == [
+        (fluid, WaveKind.REFLECTED), (porous, WaveKind.TRANSMITTED_PF),
+        (porous, WaveKind.TRANSMITTED_PS), (porous, WaveKind.TRANSMITTED_S)]
+    for rec, kind, grid in calls:
+        assert grid.tobytes() == verify_grid(setup.model, rec, kind, 20.0,
+                                             setup.dt).tobytes()
+    assert len({id(probe) for probe in probes}) == 4  # one per (receiver, s)
+    assert not unconverged
+    assert rows == [row for i in (1, 2) for s in (40.0, 20.0)
+                    for row in own[s] if row[1] == i]
 
 
 def test_verify_reports_unconverged_oracle(tmp_path, monkeypatch, capsys):

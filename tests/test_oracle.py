@@ -121,6 +121,21 @@ def test_reference_rejects_round_off_sums(model):
     assert laplace_reference(axis, model, "u_pf_x") == 0.0
 
 
+def test_reference_rejects_a_nan_density(model, porous_receiver, monkeypatch):
+    """One NaN density value makes both sums NaN, which passes every
+    comparison of the two checks; the oracle must refuse it, not return it."""
+    channel_parts = oracle._channel_parts
+
+    def nan_at_one_node(*args):
+        dens, parity, depth = channel_parts(*args)
+        return np.where(np.arange(dens.size) == 3, np.nan, dens), parity, depth
+
+    monkeypatch.setattr(oracle, "_channel_parts", nan_at_one_node)
+    probe = default_probe(model, porous_receiver, 20.0, n=16)
+    with pytest.raises(NotConverged, match="gives nan"):
+        laplace_reference(probe, model, "u_pf_z")
+
+
 def test_incident_oracle_matches_analytic_transform(model, fluid_receiver):
     """The double integral reproduces the closed-form direct-wave transform.
 
