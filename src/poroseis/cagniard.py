@@ -23,6 +23,11 @@ Two pieces of the deformed path matter:
   axis between the fastest branch point and the saddle.  It carries the
   refracted (head-wave) part of the field.
 
+Both rest on the stationary broken ray at each q (_stationary_ray, the
+reflected receiver mirrored through the interface): its time is the
+fictitious arrival t0(q) that closes the volume window, and its horizontal
+slowness in the fluid is the saddle slowness p0(q).
+
 Everything upstream of the interface coefficients is geometry and lives
 here: arrival times, window bounds in q at fixed t, and the contour points
 with their time derivatives.
@@ -53,10 +58,9 @@ _UPSILON_TOL = 1e-11
 # Cap on the square-root-free contour steps; points still off target after
 # it go to the planar residual search (_plane_search), the one fallback.
 _CONTOUR_STEPS = 8
-# The stationary-ray Newton stops once the time slope is this many ulp of
-# s_a + s_b (the slownesses above and below), the size of its two terms; a step-size stop stalls near the
-# root where rounding dominates the slope.  The cap only bounds the
-# bisection fallback.
+# The stationary-ray Newton stops on the time slope (see _xi_zero); a
+# step-size stop stalls near the root where rounding dominates the slope.
+# The cap only bounds the bisection fallback.
 _XI_SLOPE_ULPS = 8.0
 _XI_MAX_ITER = 60
 
@@ -153,19 +157,18 @@ def _slowness_sq(q, branch: WaveBranch):
     return 1.0 / branch.v_top ** 2 + q2, 1.0 / branch.v_bottom ** 2 + q2
 
 
-def snell_time(xi, q, geom: Geometry, branch: WaveBranch, slow=None):
+def snell_time(xi, q, geom: Geometry, branch: WaveBranch):
     """Travel time of the broken ray crossing the interface at offset xi.
 
-    Uses the fictitious velocities at transverse slowness q, or the
-    slownesses slow = (s_a, s_b) when already known.  For the reflected
-    wave the receiver is mirrored through the interface, which turns the
-    bounce into the same two-leg form.
+    Uses the fictitious velocities at transverse slowness q.  For the
+    reflected wave the receiver is mirrored through the interface, which
+    turns the bounce into the same two-leg form.  Its least value over xi
+    is _stationary_ray's t0.
     """
-    if slow is None:
-        slow = np.sqrt(_slowness_sq(np.asarray(q, dtype=float), branch))
+    sa, sb = np.sqrt(_slowness_sq(np.asarray(q, dtype=float), branch))
     xi = np.asarray(xi, dtype=float)
-    t = (np.sqrt(xi * xi + geom.h * geom.h) * slow[0]
-         + np.sqrt((geom.x - xi) ** 2 + geom.z * geom.z) * slow[1])
+    t = (np.sqrt(xi * xi + geom.h * geom.h) * sa
+         + np.sqrt((geom.x - xi) ** 2 + geom.z * geom.z) * sb)
     if t.ndim == 0:
         return float(t)
     return t
@@ -198,18 +201,21 @@ def _bracketed_newton(func, x, lo, hi, tol, max_iter):
 
 
 def _xi_zero(q, geom: Geometry, branch: WaveBranch):
-    """Interface crossing of the fastest broken ray.
+    """Interface crossing of the fastest broken ray, and the slownesses
+    (s_a, s_b) at q.
 
     The one-way time is strictly convex in xi, so its slope has exactly one
     root in [0, x], found by _bracketed_newton on the slope (whose
     derivative is the positive curvature).  The first iterate is the
     small-angle Snell crossing s_b*x*h / (s_a*|z| + s_b*h), exact for the
-    mirrored reflected path.
+    mirrored reflected path.  The slope stops at 8 ulp of s_a + s_b, the
+    size of its terms, or at the slope change of one ulp of x (2*eps*x
+    times the curvature at the first iterate) where x - xi cancels.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if geom.x == 0.0:
-        return np.zeros_like(q)
     sa, sb = np.sqrt(_slowness_sq(q, branch))
+    if geom.x == 0.0:
+        return np.zeros_like(q), sa, sb
     h, d, x = geom.h, geom.z, geom.x
 
     def slope(xs):
@@ -220,47 +226,43 @@ def _xi_zero(q, geom: Geometry, branch: WaveBranch):
         ub = sb * np.sqrt(rb)
         return ua * xs - ub * xb, lambda: (h * h) * ua * ra + (d * d) * ub * rb
 
-    tol = _XI_SLOPE_ULPS * np.finfo(float).eps * (sa + sb)
-    return _bracketed_newton(slope, sb * (x * h) / (sa * abs(d) + sb * h),
-                             np.zeros_like(q), np.full_like(q, x), tol,
-                             _XI_MAX_ITER)
+    eps = np.finfo(float).eps
+    start = sb * (x * h) / (sa * abs(d) + sb * h)
+    tol = np.maximum(_XI_SLOPE_ULPS * eps * (sa + sb),
+                     2.0 * eps * x * slope(start)[1]())
+    xi = _bracketed_newton(slope, start, np.zeros_like(q), np.full_like(q, x),
+                           tol, _XI_MAX_ITER)
+    return xi, sa, sb
 
 
-def _t0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None, slow=None):
-    """Fictitious arrival time, vectorized over q.
+def _stationary_ray(q, geom: Geometry, branch: WaveBranch):
+    """(t0, dt0/dq, p0) of the stationary broken ray, vectorized over q.
 
-    xi0 is the stationary crossing at q and slow the slownesses (s_a, s_b)
-    at q, when already known.
+    One _xi_zero solve gives the crossing xi0 and the legs
+    l_a = hypot(xi0, h), l_b = hypot(x - xi0, z): t0 = l_a*s_a + l_b*s_b,
+    dt0/dq = q*(l_a/s_a + l_b/s_b) (the crossing is stationary, so it adds
+    no term) and p0 = xi0*s_a/l_a.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if branch.kind is WaveKind.REFLECTED:
-        return geom.r * np.sqrt(_slowness_sq(q, branch)[0])
-    if xi0 is None:
-        xi0 = _xi_zero(q, geom, branch)
-    return snell_time(xi0, q, geom, branch, slow)
+    xi0, sa, sb = _xi_zero(q, geom, branch)
+    la = np.hypot(xi0, geom.h)
+    lb = np.hypot(geom.x - xi0, geom.z)
+    return la * sa + lb * sb, q * (la / sa + lb / sb), xi0 * sa / la
 
 
-def _p0_vec(q, geom: Geometry, branch: WaveBranch, xi0=None, slow=None):
-    """Saddle slowness p0(q): the contour leaves -i*p0 at the arrival time.
+def _t0_vec(q, geom: Geometry, branch: WaveBranch):
+    """Fictitious arrival time t0(q), vectorized over q."""
+    return _stationary_ray(q, geom, branch)[0]
 
-    xi0 and slow as in _t0_vec.
-    """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if branch.kind is WaveKind.REFLECTED:
-        return (geom.x / geom.r) * np.sqrt(_slowness_sq(q, branch)[0])
-    if xi0 is None:
-        xi0 = _xi_zero(q, geom, branch)
-    sa = np.sqrt(_slowness_sq(q, branch)[0]) if slow is None else slow[0]
-    return xi0 * sa / np.sqrt(xi0 * xi0 + geom.h * geom.h)
+
+def _p0_vec(q, geom: Geometry, branch: WaveBranch):
+    """Saddle slowness p0(q): the contour leaves -i*p0 at the arrival time."""
+    return _stationary_ray(q, geom, branch)[2]
 
 
 def fictitious_arrival(q: float, geom: Geometry, branch: WaveBranch) -> float:
-    """Earliest time of the volume wave at transverse slowness q.
-
-    The reflected wave has the closed image form r/V(q).  Transmitted waves
-    minimize the two-leg travel time over the interface crossing; the
-    minimum comes from the same stationary-ray solve as every other arrival.
-    """
+    """Earliest time of the volume wave at transverse slowness q: the
+    stationary-ray time, for the reflected wave r/V(q) up to rounding."""
     _depths(geom, branch)
     return float(_t0_vec(np.array([q], dtype=float), geom, branch)[0])
 
@@ -289,10 +291,7 @@ def arrival_times(geom: Geometry, branch: WaveBranch, v_max: float) -> ArrivalTi
     reaches the critical angle.
     """
     d_top, d_bot = _depths(geom, branch)
-    q = np.zeros(1)
-    xi0 = _xi_zero(q, geom, branch)
-    t0 = float(_t0_vec(q, geom, branch, xi0)[0])
-    p0 = float(_p0_vec(q, geom, branch, xi0)[0])
+    t0, _, p0 = (float(v[0]) for v in _stationary_ray(np.zeros(1), geom, branch))
     nan = float("nan")
     if geom.x < _MIN_HEAD_OFFSET * (d_top + d_bot) or p0 <= 1.0 / v_max:
         return ArrivalTimes(t0=t0, head_exists=False,
@@ -324,7 +323,14 @@ _q0_scalar = q0_of_t
 
 
 def _q0_vec(t, geom: Geometry, branch: WaveBranch):
-    """Invert the fictitious arrival, vectorized over t > t0."""
+    """Invert the fictitious arrival, vectorized over t >= t0(0).
+
+    The reflected wave has a closed form.  Transmitted waves run
+    _bracketed_newton on t0(q) - t in (0, t/R), R = hypot(x, h + |z|):
+    both slownesses exceed q and the broken ray is no shorter than R, so
+    t0(q) > q*R.  It stops at 1e-14*t, a few ulp, so that q0 hardly depends
+    on the start; a residual above 1e-9*t raises ConvergenceFailure.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if branch.kind is WaveKind.REFLECTED:
         rad = (t / geom.r) ** 2 - 1.0 / branch.v_top ** 2
@@ -340,32 +346,13 @@ def _q0_vec(t, geom: Geometry, branch: WaveBranch):
         bad = float(t[np.argmax(t < t0)])
         raise DomainError(f"t={bad} is before the volume arrival {t0}", t=bad)
 
-    # Each sample doubles its own upper bracket until t0 reaches it, so that
-    # no sample's window depends on the other times of the call.
-    hi = np.full_like(t, max(2.0 / branch.v_bottom, 2.0 / branch.v_top))
-    for _ in range(200):
-        short = _t0_vec(hi, geom, branch) < t
-        if not np.any(short):
-            break
-        hi = np.where(short, 2.0 * hi, hi)
-    else:
-        i = int(np.argmax(short))
-        raise ConvergenceFailure(float(t[i]), float(hi[i]), branch.kind.value,
-                                 "volume-window inversion found no upper bracket")
-
-    # _bracketed_newton on t0(q) - t from the midpoint of (0, hi).  The
-    # crossing is stationary, so the slope in q needs no xi term.
-    h, d = geom.h, abs(geom.z)
-
     def excess(q):
-        xs = _xi_zero(q, geom, branch)
-        sa, sb = np.sqrt(_slowness_sq(q, branch))
-        la = np.hypot(xs, h)
-        lb = np.hypot(geom.x - xs, d)
-        return la * sa + lb * sb - t, lambda: q * (la / sa + lb / sb)
+        t0q, slope, _ = _stationary_ray(q, geom, branch)
+        return t0q - t, lambda: slope
 
+    hi = t / math.hypot(geom.x, geom.h + abs(geom.z))
     q0 = _bracketed_newton(excess, 0.5 * hi, np.zeros_like(t), hi,
-                           1e-12 * np.maximum(t, 1e-300), 80)
+                           1e-14 * np.maximum(t, 1e-300), 80)
     resid = np.abs(_t0_vec(q0, geom, branch) - t)
     if np.any(resid > 1e-9 * np.maximum(t, 1e-300)):
         i = int(np.argmax(resid))
@@ -493,15 +480,12 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
         kap = kap.reshape(shape)
         return gam.reshape(shape), dgdt.reshape(shape), kap, kap
 
-    xi0 = _xi_zero(q, geom, branch)
-    sa2, sb2 = _slowness_sq(q, branch)
-    slow = (np.sqrt(sa2), np.sqrt(sb2))
-    t0q = _t0_vec(q, geom, branch, xi0, slow)
+    t0q, _, p0 = _stationary_ray(q, geom, branch)
     if np.any(t <= t0q):
         i = int(np.argmax(t <= t0q))
         raise DomainError(
             f"t={t} is not past the fictitious arrival {t0q[i]} at q={q[i]}")
-    p0 = _p0_vec(q, geom, branch, xi0, slow)
+    sa2, sb2 = _slowness_sq(q, branch)
 
     def kappas(g):
         return branch_sqrt(sa2 + g * g), branch_sqrt(sb2 + g * g)

@@ -436,8 +436,11 @@ def verify_rows(setup: RunSetup) -> tuple[list[tuple], list[NotConverged]]:
     Each (receiver, branch) is traced once, on the verify grid of the
     smallest s.  Every s is transformed on the prefix that its own grid
     spans, which is that grid's trace bit for bit: samples carry no state.
-    A trace failure raises PoroseisError naming the receiver.
+    A trace failure raises PoroseisError naming the receiver, and no s
+    value ConfigError.
     """
+    if not setup.verify_s:
+        raise ConfigError("verify.s_values_per_s is empty")
     s_trace = min(setup.verify_s)
     rows, unconverged = [], []
     for i, rec in enumerate(setup.receivers, start=1):
@@ -474,16 +477,17 @@ def verify_rows(setup: RunSetup) -> tuple[list[tuple], list[NotConverged]]:
 
 def run_verify(setup: RunSetup) -> int:
     """Print ``verify_rows``; return 4 if an oracle did not converge, else 1
-    unless every error is at most 1e-3 (NaN is not), 3 if a trace failed.
+    unless every error is at most 1e-3 (NaN is not), 3 if a trace failed
+    and 2 if there is no s value.
 
     The process keeps freed memory from here on (``_keep_freed_memory``).
     """
     _keep_freed_memory()
-    if not setup.verify_s:
-        print("config error: verify.s_values_per_s is empty", file=sys.stderr)
-        return 2
     try:
         rows, unconverged = verify_rows(setup)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except PoroseisError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from poroseis.branch_math import kappa
 from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, _bracketed_newton,
-                               _gamma_vec, arrival_times, fictitious_arrival,
+                               _gamma_vec, _p0_vec, _stationary_ray, _t0_vec,
+                               arrival_times, fictitious_arrival,
                                gamma, head_window,
                                phase_time, q0_of_t, q1_of_t,
                                reflected_branch, snell_time,
@@ -44,10 +45,12 @@ def test_reflected_arrival_is_image_distance(acoustic, fluid_geom):
     assert fluid_geom.r == pytest.approx(r, rel=1e-15)
     t0 = fictitious_arrival(0.0, fluid_geom, branch)
     assert t0 == pytest.approx(r / 1500.0, rel=1e-14)
-    for q in (1e-5, 3e-4, 2e-3):
-        expect = r * math.sqrt(1.0 / 1500.0 ** 2 + q * q)
+    for q in (0.0, 1e-5, 3e-4, 2e-3):
+        slowness = math.sqrt(1.0 / 1500.0 ** 2 + q * q)
         assert fictitious_arrival(q, fluid_geom, branch) == pytest.approx(
-            expect, rel=1e-14)
+            r * slowness, rel=1e-14)
+        p0 = _p0_vec(np.array([q]), fluid_geom, branch)[0]
+        assert p0 == pytest.approx((400.0 / r) * slowness, rel=1e-14)
 
 
 def test_geometry_rejects_bad_layout():
@@ -73,13 +76,15 @@ def test_side_checks(acoustic, branches, fluid_geom, porous_geom):
 
 
 def test_transmitted_arrival_roundtrip(branches, porous_geom):
-    """q0_of_t inverts the fictitious arrival on every transmitted branch."""
+    """q0_of_t inverts the fictitious arrival to 1e-14 relative on every
+    transmitted branch, up to 5000 times the arrival."""
     for branch in branches.values():
         t0 = fictitious_arrival(0.0, porous_geom, branch)
-        for t in np.linspace(1.02 * t0, 2.0 * t0, 50):
+        for t in np.concatenate([np.linspace(1.02 * t0, 2.0 * t0, 50),
+                                 np.geomspace(2.0 * t0, 5000.0 * t0, 30)]):
             q = q0_of_t(float(t), porous_geom, branch)
             back = fictitious_arrival(q, porous_geom, branch)
-            assert abs(back - t) <= 1e-9 * t
+            assert abs(back - t) <= 1e-14 * t
 
 
 def test_arrival_increases_with_slowness(branches, porous_geom):
@@ -93,12 +98,70 @@ def test_arrival_increases_with_slowness(branches, porous_geom):
 @given(frac=st.floats(0.0, 1.0), q=st.floats(0.0, 4e-3),
        x=st.floats(50.0, 1500.0), d=st.floats(20.0, 1500.0))
 def test_stationary_crossing_is_minimal(frac, q, x, d):
-    """No interface crossing beats the one the stationary-ray solver selects."""
+    """No interface crossing beats the one the stationary-ray solver
+    selects, and none beats q times the straight source-receiver distance,
+    the bound that brackets the volume-window inversion."""
     geom = Geometry(h=400.0, x=x, z=-d)
     wb = WaveBranch(WaveKind.TRANSMITTED_S, 1500.0, 2377.691210598581)
     best = fictitious_arrival(q, geom, wb)
     probe = float(snell_time(frac * x, q, geom, wb))
     assert probe >= best - 1e-12 * best
+    assert best >= q * math.hypot(x, 400.0 + d)
+
+
+def test_stationary_ray_slope_is_arrival_derivative(acoustic, branches,
+                                                    fluid_geom, porous_geom):
+    """dt0/dq of the stationary ray agrees with a central difference of
+    t0(q): moving the stationary crossing adds no term."""
+    cases = [(fluid_geom, reflected_branch(acoustic)),
+             (porous_geom, branches[WaveKind.TRANSMITTED_S])]
+    for geom, branch in cases:
+        q = np.array([1e-4, 5e-4, 2e-3])
+        dq = 1e-6 * q
+        fd = (_t0_vec(q + dq, geom, branch)
+              - _t0_vec(q - dq, geom, branch)) / (2.0 * dq)
+        slope = _stationary_ray(q, geom, branch)[1]
+        assert np.all(np.abs(fd - slope) <= 1e-6 * slope), branch.kind
+
+
+def test_stationary_crossing_stops_on_short_receiver_legs(acoustic,
+                                                          monkeypatch):
+    """On a receiver 12.8 m below the interface at 2.6 km offset the
+    receiver leg x - xi cancels, and the crossing's slope cannot meet 8 ulp
+    of s_a + s_b; the solve stops at the rounding of one ulp of x instead
+    of running to its cap, on the P-slow and S branches and on the window
+    inversion's solves."""
+    from test_random_media import random_setup
+
+    from poroseis import cagniard
+    from poroseis.green import _geometry_for
+
+    model, receiver, _ = random_setup(12, acoustic)
+    geom = _geometry_for(model, receiver)
+    newton = cagniard._bracketed_newton
+    evaluations = []
+
+    def spy(func, x, lo, hi, tol, max_iter):
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return func(v)
+        out = newton(counted, x, lo, hi, tol, max_iter)
+        if max_iter == cagniard._XI_MAX_ITER:
+            evaluations.append(len(calls))
+        return out
+
+    monkeypatch.setattr(cagniard, "_bracketed_newton", spy)
+    branches = transmitted_branches(model.acoustic, model.poro)
+    for kind in (WaveKind.TRANSMITTED_PS, WaveKind.TRANSMITTED_S):
+        branch = branches[kind]
+        _t0_vec(np.linspace(0.0, 1e-3, 50), geom, branch)
+        t0 = fictitious_arrival(0.0, geom, branch)
+        for excess in (1e-3, 0.1):
+            q0_of_t(t0 * (1.0 + excess), geom, branch)
+    assert len(evaluations) > 10
+    assert max(evaluations) <= 10, evaluations
 
 
 def test_head_exists_only_past_critical(acoustic, poro, model):
@@ -229,8 +292,6 @@ def test_contour_launches_at_saddle(branches, porous_geom):
     The gap closes like sqrt(t - t0), so shrinking the time excess by 16
     must shrink the distance by about 4.
     """
-    from poroseis.cagniard import _p0_vec
-
     branch = branches[WaveKind.TRANSMITTED_PF]
     q = 1e-4
     t0q = fictitious_arrival(q, porous_geom, branch)
@@ -369,8 +430,6 @@ def test_gamma_rejects_pre_arrival_times(branches, porous_geom):
 
 def test_head_contour_is_imaginary_segment(branches, wide_geom, model):
     """Head points sit on the negative imaginary axis between tip and saddle."""
-    from poroseis.cagniard import _p0_vec
-
     branch = branches[WaveKind.TRANSMITTED_S]
     arr = arrival_times(wide_geom, branch, model.v_max)
     assert arr.head_exists

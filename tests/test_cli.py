@@ -458,7 +458,13 @@ def test_verify_reports_trace_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_needs_s_values(tmp_path, monkeypatch, capsys):
+    """With no s value, verify_rows raises ConfigError and verify exits 2
+    with the same message."""
     cfg = small_config(tmp_path / "run")
     cfg.pop("verify", None)
     setup = load_config(cfg)
+    with pytest.raises(ConfigError, match="^verify.s_values_per_s is empty$"):
+        verify_rows(setup)
     assert run_verify(setup) == 2
+    assert capsys.readouterr().err == \
+        "config error: verify.s_values_per_s is empty\n"

@@ -201,6 +201,21 @@ def test_transmitted_onset_matches_arrival(model, porous_receiver, fast_cfg):
         assert np.any(np.abs(out.u_z[live]) > 0.0)
 
 
+def test_transmitted_samples_just_past_the_arrival(model, porous_receiver,
+                                                   quad_cfg):
+    """Every transmitted branch is finite at n = 2000 on 30 log-spaced
+    samples from 1e-7 s to 1e-5 s past its volume arrival t0.
+
+    Samples carry no state, so one call per branch judges all 30.  Below
+    1e-7 s past t0 samples still raise DomainError (ROADMAP item 1): the
+    top quadrature node then lies within the rounding of t0(q) of t."""
+    for kind, a in branch_arrivals(model, porous_receiver).items():
+        t = a.t0 + np.geomspace(1e-7, 1e-5, 30)
+        out = transmitted_trace(model, porous_receiver, kind, t, quad_cfg)
+        assert np.all(np.isfinite(out.u_x)) and np.all(np.isfinite(out.u_z))
+        assert np.all(out.u_z != 0.0), kind
+
+
 def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
     """Reference time loop: one sample at a time through quadrature()."""
     from poroseis import green
