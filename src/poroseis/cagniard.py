@@ -25,8 +25,9 @@ Two pieces of the deformed path matter:
 
 Both rest on the stationary broken ray at each q (_stationary_ray, the
 reflected receiver mirrored through the interface): its time is the
-fictitious arrival t0(q) that closes the volume window, and its horizontal
-slowness in the fluid is the saddle slowness p0(q).
+fictitious arrival t0(q) that closes the volume window, read as the excess
+(t - t0(0)) - (t0(q) - t0(0)) so that nothing cancels next to an arrival,
+and its horizontal slowness in the fluid is the saddle slowness p0(q).
 
 Everything upstream of the interface coefficients is geometry and lives
 here: arrival times, window bounds in q at fixed t, and the contour points
@@ -36,12 +37,13 @@ with their time derivatives.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branch_math import branch_sqrt, fictitious_velocity
+from .branch_math import branch_sqrt
 from .errors import ConvergenceFailure, DomainError
 from .media import AcousticMedium, PoroelasticDerived
 
@@ -53,7 +55,8 @@ MAX_LENGTH_M = 1e100
 _MIN_HEAD_OFFSET = 1e-9
 # Residual target of the volume-contour Newton solve, scaled by (1 + t).
 _GAMMA_TOL = 1e-12
-# Residual target of the head-segment solve, scaled by (1 + t).
+# Largest residual accepted from the head-segment solve, scaled by (1 + t);
+# it stops at 1e-14 * (1 + t), as T'(zeta) -> 0 next to the saddle.
 _UPSILON_TOL = 1e-11
 # Cap on the square-root-free contour steps; points still off target after
 # it go to the planar residual search (_plane_search), the one fallback.
@@ -210,7 +213,8 @@ def _xi_zero(q, geom: Geometry, branch: WaveBranch):
     small-angle Snell crossing s_b*x*h / (s_a*|z| + s_b*h), exact for the
     mirrored reflected path.  The slope stops at 8 ulp of s_a + s_b, the
     size of its terms, or at the slope change of one ulp of x (2*eps*x
-    times the curvature at the first iterate) where x - xi cancels.
+    times the curvature at the Newton's first evaluation) where x - xi
+    cancels.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     sa, sb = np.sqrt(_slowness_sq(q, branch))
@@ -228,31 +232,51 @@ def _xi_zero(q, geom: Geometry, branch: WaveBranch):
 
     eps = np.finfo(float).eps
     start = sb * (x * h) / (sa * abs(d) + sb * h)
+    first = [slope(start)]
     tol = np.maximum(_XI_SLOPE_ULPS * eps * (sa + sb),
-                     2.0 * eps * x * slope(start)[1]())
-    xi = _bracketed_newton(slope, start, np.zeros_like(q), np.full_like(q, x),
+                     2.0 * eps * x * first[0][1]())
+    xi = _bracketed_newton(lambda xs: first.pop() if first else slope(xs),
+                           start, np.zeros_like(q), np.full_like(q, x),
                            tol, _XI_MAX_ITER)
     return xi, sa, sb
 
 
 def _stationary_ray(q, geom: Geometry, branch: WaveBranch):
-    """(t0, dt0/dq, p0) of the stationary broken ray, vectorized over q.
+    """(rise, dt0/dq, p0) of the stationary broken ray, vectorized over q.
 
-    One _xi_zero solve gives the crossing xi0 and the legs
-    l_a = hypot(xi0, h), l_b = hypot(x - xi0, z): t0 = l_a*s_a + l_b*s_b,
+    One _xi_zero solve at q and at 0 gives the crossings xi, xi0 and the
+    legs l_a = hypot(xi, h), l_b = hypot(x - xi, z), l_a0, l_b0.  The rise
+    t0(q) - t0(0) of t0 = l_a*s_a + l_b*s_b is formed leg by leg, with no
+    term that cancels: l_a*q^2/(s_a + s_a0) + l_b*q^2/(s_b + s_b0) plus the
+    crossing's shift xi - xi0 (0 on the mirrored reflected path) times
+    s_a0*(xi + xi0)/(l_a + l_a0) - s_b0*(2x - xi - xi0)/(l_b + l_b0), a
+    divided difference of the slope that stationarity makes first order.
     dt0/dq = q*(l_a/s_a + l_b/s_b) (the crossing is stationary, so it adds
-    no term) and p0 = xi0*s_a/l_a.
+    no term) and p0 = xi*s_a/l_a.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    xi0, sa, sb = _xi_zero(q, geom, branch)
-    la = np.hypot(xi0, geom.h)
-    lb = np.hypot(geom.x - xi0, geom.z)
-    return la * sa + lb * sb, q * (la / sa + lb / sb), xi0 * sa / la
+    xi, sa, sb = _xi_zero(np.append(q, 0.0), geom, branch)
+    la = np.hypot(xi, geom.h)
+    lb = np.hypot(geom.x - xi, geom.z)
+    (xi, xi0), (sa, sa0), (sb, sb0), (la, la0), (lb, lb0) = (
+        (v[:-1], v[-1]) for v in (xi, sa, sb, la, lb))
+    rise = la * (q * q) / (sa + sa0) + lb * (q * q) / (sb + sb0)
+    if geom.x > 0.0:  # at zero offset both crossings are 0
+        rise = rise + (xi - xi0) * (sa0 * (xi + xi0) / (la + la0) - sb0
+                                    * (2.0 * geom.x - xi - xi0) / (lb + lb0))
+    return rise, q * (la / sa + lb / sb), xi * sa / la
+
+
+@functools.lru_cache(maxsize=256)
+def _t0_zero(geom: Geometry, branch: WaveBranch) -> float:
+    """t0(0), formed once per geometry and branch for all its readers."""
+    xi, sa, sb = (float(v[0]) for v in _xi_zero(np.zeros(1), geom, branch))
+    return float(np.hypot(xi, geom.h) * sa + np.hypot(geom.x - xi, geom.z) * sb)
 
 
 def _t0_vec(q, geom: Geometry, branch: WaveBranch):
     """Fictitious arrival time t0(q), vectorized over q."""
-    return _stationary_ray(q, geom, branch)[0]
+    return _t0_zero(geom, branch) + _stationary_ray(q, geom, branch)[0]
 
 
 def _p0_vec(q, geom: Geometry, branch: WaveBranch):
@@ -291,7 +315,8 @@ def arrival_times(geom: Geometry, branch: WaveBranch, v_max: float) -> ArrivalTi
     reaches the critical angle.
     """
     d_top, d_bot = _depths(geom, branch)
-    t0, _, p0 = (float(v[0]) for v in _stationary_ray(np.zeros(1), geom, branch))
+    t0 = _t0_zero(geom, branch)
+    p0 = float(_p0_vec(np.zeros(1), geom, branch)[0])
     nan = float("nan")
     if geom.x < _MIN_HEAD_OFFSET * (d_top + d_bot) or p0 <= 1.0 / v_max:
         return ArrivalTimes(t0=t0, head_exists=False,
@@ -325,36 +350,28 @@ _q0_scalar = q0_of_t
 def _q0_vec(t, geom: Geometry, branch: WaveBranch):
     """Invert the fictitious arrival, vectorized over t >= t0(0).
 
-    The reflected wave has a closed form.  Transmitted waves run
-    _bracketed_newton on t0(q) - t in (0, t/R), R = hypot(x, h + |z|):
-    both slownesses exceed q and the broken ray is no shorter than R, so
-    t0(q) > q*R.  It stops at 1e-14*t, a few ulp, so that q0 hardly depends
-    on the start; a residual above 1e-9*t raises ConvergenceFailure.
+    Every branch runs _bracketed_newton on rise(q) - tau, tau = t - t0(0),
+    in (0, t/R), R = hypot(x, h + |z|): both slownesses exceed q and the
+    broken ray is no shorter than R, so t0(q) > q*R.  It stops at
+    1e-14*tau, a few ulp, so that q0 hardly depends on the start; a
+    residual above 1e-9*t raises ConvergenceFailure.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if branch.kind is WaveKind.REFLECTED:
-        rad = (t / geom.r) ** 2 - 1.0 / branch.v_top ** 2
-        if np.any(rad < 0.0):
-            bad = float(t[np.argmax(rad < 0.0)])
-            raise DomainError(
-                f"t={bad} is before the reflected arrival {geom.r / branch.v_top}",
-                t=bad)
-        return np.sqrt(rad)
-
-    t0 = float(_t0_vec(np.array([0.0]), geom, branch)[0])
-    if np.any(t < t0):
-        bad = float(t[np.argmax(t < t0)])
+    t0 = _t0_zero(geom, branch)
+    tau = t - t0
+    if np.any(tau < 0.0):
+        bad = float(t[np.argmax(tau < 0.0)])
         raise DomainError(f"t={bad} is before the volume arrival {t0}", t=bad)
 
     def excess(q):
-        t0q, slope, _ = _stationary_ray(q, geom, branch)
-        return t0q - t, lambda: slope
+        rise, slope, _ = _stationary_ray(q, geom, branch)
+        return rise - tau, lambda: slope
 
     hi = t / math.hypot(geom.x, geom.h + abs(geom.z))
     q0 = _bracketed_newton(excess, 0.5 * hi, np.zeros_like(t), hi,
-                           1e-14 * np.maximum(t, 1e-300), 80)
-    resid = np.abs(_t0_vec(q0, geom, branch) - t)
-    if np.any(resid > 1e-9 * np.maximum(t, 1e-300)):
+                           1e-14 * np.maximum(tau, 1e-300), 80)
+    resid = np.abs(_stationary_ray(q0, geom, branch)[0] - tau)
+    if np.any(~(resid <= 1e-9 * np.maximum(t, 1e-300))):  # NaN fails too
         i = int(np.argmax(resid))
         raise ConvergenceFailure(float(t[i]), float(q0[i]), branch.kind.value,
                                  f"window inversion residual {resid[i]:.3e}")
@@ -441,8 +458,10 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
     take those square roots again.  The residual |T(gamma) - t| is judged
     here and not returned; phase_time gives it from an independent root.
 
-    The reflected wave has a closed form.  Transmitted waves start from the
-    saddle-point expansion and solve the polynomial system
+    One check raises DomainError where the excess (t - t0(0)) - rise(q)
+    is not positive.  The reflected wave has a closed form, with radicand
+    excess*(t + t0(q))/r^2 and the rise r*q^2/(s + s0).  Transmitted waves
+    start from the saddle-point expansion and solve the polynomial system
 
         k_a^2 = s_a^2 + gamma^2,  k_b^2 = s_b^2 + gamma^2,
         d_top * k_a + d_bot * k_b + i * gamma * x = t
@@ -453,39 +472,34 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
     one fallback: points whose |T(gamma) - t| still misses the target go to
     the derivative-free planar residual search _plane_search from the
     saddle seed, which raises ConvergenceFailure where it stalls.  The
-    stationary crossing at q (see _xi_zero) gives both the fictitious
-    arrival and the saddle.
+    stationary crossing at q (see _xi_zero) gives both the rise and the
+    saddle.
     """
     t = float(t)
     q, shape = _flat_q(q)
     d_top, d_bot = _depths(geom, branch)
     x = geom.x
+    t0 = _t0_zero(geom, branch)
+    sa2, sb2 = _slowness_sq(q, branch)
+    reflected = branch.kind is WaveKind.REFLECTED
+    if reflected:
+        rise = geom.r * (q * q) / (np.sqrt(sa2) + 1.0 / branch.v_top)
+    else:
+        rise, _, p0 = _stationary_ray(q, geom, branch)
+    excess = (t - t0) - rise
+    if np.any(excess <= 0.0):
+        i = int(np.argmax(excess <= 0.0))
+        raise DomainError(f"t={t} is not past the fictitious arrival "
+                          f"{t0 + rise[i]} at q={q[i]}")
 
-    if branch.kind is WaveKind.REFLECTED:
-        # rad cancels near the window end, where the traces depend on its
-        # rounding at about 1e-8 of peak; it keeps the rounding through
-        # fictitious_velocity so that the reflected traces do not move.
-        va = fictitious_velocity(branch.v_top, q)
+    if reflected:
         r = geom.r
-        rad = (t / r) ** 2 - 1.0 / va ** 2
-        if np.any(rad <= 0.0):
-            i = int(np.argmax(rad <= 0.0))
-            raise DomainError(
-                f"t={t} is not past the fictitious arrival "
-                f"{r / va[i]} at q={q[i]}")
-        big_d = np.sqrt(rad)
+        big_d = np.sqrt(excess * (t + (t0 + rise))) / r
         gam = -1j * (x * t / r ** 2) + (d_top / r) * big_d
         kap = (d_top * t / r ** 2) - 1j * (x / r) * big_d
         dgdt = kap / (r * big_d)
         kap = kap.reshape(shape)
         return gam.reshape(shape), dgdt.reshape(shape), kap, kap
-
-    t0q, _, p0 = _stationary_ray(q, geom, branch)
-    if np.any(t <= t0q):
-        i = int(np.argmax(t <= t0q))
-        raise DomainError(
-            f"t={t} is not past the fictitious arrival {t0q[i]} at q={q[i]}")
-    sa2, sb2 = _slowness_sq(q, branch)
 
     def kappas(g):
         return branch_sqrt(sa2 + g * g), branch_sqrt(sb2 + g * g)
@@ -506,7 +520,7 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
     ca = d_top * sa2 / (ka0 * ka0 * ka0)
     cb = d_bot * sb2 / (kb0 * kb0 * kb0)
     curv = ca + cb
-    delta = np.sqrt(2.0 * (t - t0q) / curv)
+    delta = np.sqrt(2.0 * excess / curv)
     delta = delta * (1.0 - 0.5j * p0 * delta
                      * (ca / (ka0 * ka0) + cb / (kb0 * kb0)) / curv)
     g_seed = -1j * p0 + delta
@@ -514,7 +528,7 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
     tol = _GAMMA_TOL * (1.0 + abs(t))
     ka, kb = kappas(g_seed)
     delta = _contour_steps(delta, ka - ka0, kb - kb0, p0, ka0, kb0,
-                           d_top, d_bot, x, t - t0q, tol)
+                           d_top, d_bot, x, excess, tol)
     g = delta - 1j * p0
     ka, kb = kappas(g)
     f = t_func(g, ka, kb) - t
@@ -655,7 +669,8 @@ def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float):
 
     tol = _UPSILON_TOL * (1.0 + abs(t))
     zeta = _bracketed_newton(lambda z: (t_of(z) - t, lambda: t_slope(z)),
-                             0.5 * (tip + p0), tip, p0, tol, 100)
+                             0.5 * (tip + p0), tip, p0, 1e-14 * (1.0 + abs(t)),
+                             100)
     resid = np.abs(t_of(zeta) - t)
     if np.any(resid > tol):
         i = int(np.argmax(resid > tol))

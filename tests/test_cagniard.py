@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from poroseis.branch_math import kappa
 from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, _bracketed_newton,
                                _gamma_vec, _p0_vec, _stationary_ray, _t0_vec,
+                               _upsilon_vec, _xi_zero,
                                arrival_times, fictitious_arrival,
                                gamma, head_window,
                                phase_time, q0_of_t, q1_of_t,
@@ -162,6 +163,37 @@ def test_stationary_crossing_stops_on_short_receiver_legs(acoustic,
             q0_of_t(t0 * (1.0 + excess), geom, branch)
     assert len(evaluations) > 10
     assert max(evaluations) <= 10, evaluations
+
+
+def test_stationary_crossing_takes_each_slope_once(branches, porous_geom,
+                                                  monkeypatch):
+    """Every slope evaluation of the crossing solve is one of the Newton's
+    own: the stop target reads the curvature of the Newton's first
+    evaluation instead of taking it again.  Each evaluation takes two
+    square roots, one per leg, after the one of the slownesses."""
+    from poroseis import cagniard
+
+    newton, sqrt = cagniard._bracketed_newton, np.sqrt
+    counts = {"evaluations": 0, "roots": 0}
+
+    def counted_newton(func, *args):
+        def counted(v):
+            counts["evaluations"] += 1
+            return func(v)
+        return newton(counted, *args)
+
+    def counted_sqrt(v, *args, **kwargs):
+        counts["roots"] += 1
+        return sqrt(v, *args, **kwargs)
+
+    monkeypatch.setattr(cagniard, "_bracketed_newton", counted_newton)
+    for branch in branches.values():
+        counts.update(evaluations=0, roots=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "sqrt", counted_sqrt)
+            _xi_zero(np.linspace(0.0, 2e-3, 40), porous_geom, branch)
+        assert counts["evaluations"] > 0
+        assert counts["roots"] == 1 + 2 * counts["evaluations"], branch.kind
 
 
 def test_head_exists_only_past_critical(acoustic, poro, model):
@@ -445,6 +477,35 @@ def test_head_contour_is_imaginary_segment(branches, wide_geom, model):
             assert tip <= zeta <= p0 * (1.0 + 1e-12)
             assert point.residual <= 1e-10
             assert point.dt.imag < 0.0
+
+
+def test_head_solve_is_converged_next_to_the_saddle(branches, porous_geom,
+                                                   model):
+    """At three fixture P-slow mixed samples, three further Newton steps on
+    T(-i*zeta) = t move zeta by less than 1e-7 relative at every node of
+    the head window (q0, q1), next to q0 too, where T'(zeta) -> 0 and a
+    small residual alone leaves zeta loose."""
+    branch = branches[WaveKind.TRANSMITTED_PS]
+    arr = arrival_times(porous_geom, branch, model.v_max)
+    assert arr.head_exists and arr.t0 < arr.t_h2
+    x, d_top, d_bot = porous_geom.x, porous_geom.h, -porous_geom.z
+    n = 2000
+    for frac in (1e-3, 0.1, 0.9):
+        t = arr.t0 + frac * (arr.t_h2 - arr.t0)
+        a = q0_of_t(t, porous_geom, branch)
+        b = q1_of_t(t, porous_geom, branch, model.v_max)
+        u = (np.arange(n) + 0.5) * (math.sqrt(b * b - a * a) / n)
+        q = np.sqrt(a * a + u * u)  # the lower_sqrt quadrature nodes
+        zeta = -_upsilon_vec(t, q, porous_geom, branch, model.v_max)[0].imag
+        sa2 = 1.0 / branch.v_top ** 2 + q * q
+        sb2 = 1.0 / branch.v_bottom ** 2 + q * q
+        polished = zeta
+        for _ in range(3):
+            pa, pb = np.sqrt(sa2 - polished ** 2), np.sqrt(sb2 - polished ** 2)
+            f = d_top * pa + d_bot * pb + x * polished - t
+            polished = polished - f / (x - d_top * polished / pa
+                                       - d_bot * polished / pb)
+        assert np.max(np.abs(polished - zeta) / zeta) < 1e-7, frac
 
 
 def test_upsilon_rejects_points_outside_segment(branches, wide_geom, model):

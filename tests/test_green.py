@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from poroseis.branch_math import kappa
 from poroseis.cagniard import WaveKind
+from poroseis.coefficients import _solve_structured, _structural_entries
 from poroseis.errors import ConvergenceFailure, DomainError, NonFiniteIntegrand
 from poroseis.green import (QuadratureConfig, Receiver, branch_arrivals,
                             green_trace, incident_trace, quadrature,
@@ -201,19 +203,56 @@ def test_transmitted_onset_matches_arrival(model, porous_receiver, fast_cfg):
         assert np.any(np.abs(out.u_z[live]) > 0.0)
 
 
-def test_transmitted_samples_just_past_the_arrival(model, porous_receiver,
-                                                   quad_cfg):
-    """Every transmitted branch is finite at n = 2000 on 30 log-spaced
-    samples from 1e-7 s to 1e-5 s past its volume arrival t0.
+def test_transmitted_samples_just_past_the_arrival(model, fluid_receiver,
+                                                   porous_receiver, quad_cfg):
+    """Every edge of the fixture, the reflected, P-fast and S arrivals t0
+    and the P-slow t_h1, t0 and t_h2, is followed by finite, live samples
+    at n = 2000: 30 log-spaced ones from 2e-12*t, just outside the edge
+    band, to 1e-4 s past it.
 
-    Samples carry no state, so one call per branch judges all 30.  Below
-    1e-7 s past t0 samples still raise DomainError (ROADMAP item 1): the
-    top quadrature node then lies within the rounding of t0(q) of t."""
-    for kind, a in branch_arrivals(model, porous_receiver).items():
-        t = a.t0 + np.geomspace(1e-7, 1e-5, 30)
-        out = transmitted_trace(model, porous_receiver, kind, t, quad_cfg)
-        assert np.all(np.isfinite(out.u_x)) and np.all(np.isfinite(out.u_z))
+    Samples carry no state, so one call per branch judges all its edges.
+    Next to t0 the window inversion and the contour read one excess of t
+    over t0(q), so the top quadrature node stays inside the window."""
+    arrivals = {**branch_arrivals(model, fluid_receiver),
+                **branch_arrivals(model, porous_receiver)}
+    for kind, a in arrivals.items():
+        edges = [a.t0] + ([a.t_h1, a.t_h2] if a.head_exists else [])
+        t = np.sort(np.concatenate(
+            [e + np.geomspace(2e-12 * e, 1e-4, 30) for e in edges]))
+        if kind is WaveKind.REFLECTED:
+            out = reflected_trace(model, fluid_receiver, t, quad_cfg)
+            channels = np.stack([out.xi, out.u_x, out.u_z])
+        else:
+            out = transmitted_trace(model, porous_receiver, kind, t, quad_cfg)
+            channels = np.stack([out.u_x, out.u_z])
+        assert np.all(np.isfinite(channels)), kind
         assert np.all(out.u_z != 0.0), kind
+
+
+@pytest.mark.parametrize("n", [2000, 8000])
+def test_reflected_jump_matches_the_ray_limit(model, fluid_receiver, n):
+    """Just past the reflected arrival xi tends to the geometric-ray limit
+    R*kappa_plus/(2*pi*r): the plane-wave reflection coefficient R at the
+    ray parameter p0 = x/(r*V), with q = 0, over the image distance r.
+
+    Two samples at t0*(1 + eps) and t0*(1 + 2*eps), eps = 1e-10, are
+    extrapolated linearly to eps -> 0; they lie 1e-10*t0 past the arrival,
+    where the window end and the contour agree only if neither cancels in
+    t."""
+    x, r = fluid_receiver.x, math.hypot(fluid_receiver.x,
+                                        fluid_receiver.z + model.source_height)
+    ac, pd = model.acoustic, model.poro
+    g0, q = np.array([-1j * x / (r * ac.v_plus)]), np.zeros(1)
+    kappas = [kappa(v, g0, q) for v in (ac.v_plus, pd.v_pf, pd.v_ps, pd.v_s)]
+    refl = _solve_structured(_structural_entries(ac, pd, g0 * g0, *kappas),
+                             g0, q)[0][0]
+    limit = (refl * kappas[0][0]).real / (2.0 * math.pi * r)
+    t0 = branch_arrivals(model, fluid_receiver)[WaveKind.REFLECTED].t0
+    eps = 1e-10
+    xi = reflected_trace(model, fluid_receiver,
+                         t0 * (1.0 + np.array([eps, 2.0 * eps])),
+                         QuadratureConfig(n=n)).xi
+    assert abs((2.0 * xi[0] - xi[1]) / limit - 1.0) <= 1e-8
 
 
 def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
