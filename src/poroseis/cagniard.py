@@ -102,7 +102,7 @@ class Geometry:
 
     h: float  # source height above the interface, m, > 0
     x: float  # horizontal offset, m, >= 0
-    z: float  # receiver height, m (negative below the interface)
+    z: float  # receiver height, m, != 0 (negative below the interface)
     r: float = field(init=False)  # image distance of the reflected wave, m
 
     def __post_init__(self):
@@ -110,6 +110,8 @@ class Geometry:
             raise ValueError(f"source height must be positive, got {self.h}")
         if not self.x >= 0.0:
             raise ValueError(f"horizontal offset must be non-negative, got {self.x}")
+        if self.z == 0.0:
+            raise ValueError("receiver must not sit on the interface z = 0")
         if max(self.h, self.x, abs(self.z)) > MAX_LENGTH_M:
             raise ValueError(f"lengths must not exceed {MAX_LENGTH_M:g} m, got "
                              f"h={self.h}, x={self.x}, z={self.z}")

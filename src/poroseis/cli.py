@@ -10,7 +10,7 @@ verify --config cfg.json
     Compare Laplace transforms of the computed Green channels against the
     independent frequency-domain oracle and print one row per
     (channel, receiver, s) from ``verify_rows``, which traces each branch
-    once, on the verify grid of the smallest s.
+    once per s, at the Gauss nodes of ``oracle.laplace_nodes``.
 
 fixture
     Print the bundled validation configuration (water over a stiff porous
@@ -39,7 +39,7 @@ from .green import (GreenTrace, HalfspaceModel, QuadratureConfig, Receiver,
                     branch_arrivals, green_trace, reflected_trace,
                     transmitted_trace)
 from .media import AcousticMedium, PoroelasticParams, derive_poroelastic, validate
-from .oracle import default_probe, laplace_of_trace, laplace_reference
+from .oracle import LAPLACE_SPAN, default_probe, laplace_nodes, laplace_reference
 from .seismogram import Seismogram, SourceWavelet, convolve
 
 
@@ -49,10 +49,6 @@ class ConfigError(Exception):
 
 _TRANSMITTED_ORDER = (WaveKind.TRANSMITTED_PF, WaveKind.TRANSMITTED_PS,
                       WaveKind.TRANSMITTED_S)
-# The verify grid runs _VERIFY_SPAN / s past each onset (truncation
-# exp(-34) against the 1e-3 gate), in at most _VERIFY_MAX_SAMPLES samples.
-_VERIFY_SPAN = 34.0
-_VERIFY_MAX_SAMPLES = 10 ** 6
 _VERIFY_CHANNELS = {WaveKind.REFLECTED: ("xi_ref", "u_ref_x", "u_ref_z"),
                     WaveKind.TRANSMITTED_PF: ("u_pf_x", "u_pf_z"),
                     WaveKind.TRANSMITTED_PS: ("u_ps_x", "u_ps_z"),
@@ -193,6 +189,7 @@ def load_config(cfg: dict) -> RunSetup:
     if not f0 > 0.0:
         raise ConfigError(f"source f0_hz must be positive, got {f0}")
     gain = _num(src_sec, "source", "gain", default=1.0)
+    model = HalfspaceModel(acoustic=acoustic, poro=poro, source_height=height)
 
     if "receivers" not in cfg or not isinstance(cfg["receivers"], list) \
             or not cfg["receivers"]:
@@ -244,21 +241,20 @@ def load_config(cfg: dict) -> RunSetup:
     if not isinstance(s_values, list):
         raise ConfigError("verify.s_values_per_s must be a list of numbers")
     s_values = [_finite(v, "verify.s_values_per_s entry") for v in s_values]
-    s_min = _VERIFY_SPAN / (_VERIFY_MAX_SAMPLES * dt)
+    s_min = LAPLACE_SPAN * model.v_max / MAX_LENGTH_M
     for v in s_values:
         if not v > 0.0:
             raise ConfigError(f"verify.s_values_per_s entries must be "
                               f"positive, got {v!r}")
         if v < s_min:
             raise ConfigError(
-                f"verify.s_values_per_s entry {v!r} needs more than "
-                f"{_VERIFY_MAX_SAMPLES} samples at dt_s={dt}; the smallest "
-                f"accepted s is {s_min!r}")
+                f"verify.s_values_per_s entry {v!r} lets the transform run "
+                f"past {MAX_LENGTH_M:g} m of travel; the smallest accepted "
+                f"s is {s_min!r}")
     verify_n = vf_sec.get("grid_n", 240)
     if not isinstance(verify_n, int) or verify_n < 8:
         raise ConfigError(f"verify.grid_n must be an integer >= 8, got {verify_n!r}")
 
-    model = HalfspaceModel(acoustic=acoustic, poro=poro, source_height=height)
     return RunSetup(
         config=cfg, model=model, wavelet=SourceWavelet(f0=f0), gain=gain,
         receivers=receivers, t_end=t_end, dt=dt,
@@ -409,60 +405,36 @@ def run_compute(setup: RunSetup, threads: int = 1, quiet: bool = False) -> int:
     return 0
 
 
-def verify_grid(model: HalfspaceModel, receiver: Receiver, kind: WaveKind,
-                s: float, dt: float) -> np.ndarray:
-    """Time grid for transform comparison, onset jump centred in a cell.
-
-    The impulse response jumps at the branch arrival; the midpoint-cell
-    transform rule integrates a jump exactly to leading order only when it
-    sits halfway between samples.  The grid also covers any head-wave onset
-    before the jump and runs 34/s past it, so truncation is negligible
-    against the 1e-3 gate.
-    """
-    arr = branch_arrivals(model, receiver)[kind]
-    k_back = 0
-    if arr.head_exists:
-        k_back = int(math.ceil((arr.t0 - arr.t_h1) / dt + 0.5))
-    t_start = arr.t0 - (k_back + 0.5) * dt
-    n_fwd = int(math.ceil(_VERIFY_SPAN / (s * dt)))
-    return t_start + np.arange(k_back + n_fwd + 2) * dt
-
-
 def verify_rows(setup: RunSetup) -> tuple[list[tuple], list[NotConverged]]:
     """Rows (channel, receiver number, s, trace transform, oracle value,
-    relative error) by receiver, then s as configured, and the errors of
-    the oracle values that did not converge, whose rows hold NaN.
+    relative error) by receiver, then s as configured, then branch, and the
+    errors of the oracle values that did not converge, whose rows hold NaN.
 
-    Each (receiver, branch) is traced once, on the verify grid of the
-    smallest s.  Every s is transformed on the prefix that its own grid
-    spans, which is that grid's trace bit for bit: samples carry no state.
-    A trace failure raises PoroseisError naming the receiver, and no s
-    value ConfigError.
+    Each (receiver, s, branch) is traced once, at the nodes of
+    ``laplace_nodes``, whose weights give the transform.  A trace failure
+    raises PoroseisError naming the receiver, and no s value ConfigError.
     """
     if not setup.verify_s:
         raise ConfigError("verify.s_values_per_s is empty")
-    s_trace = min(setup.verify_s)
     rows, unconverged = [], []
     for i, rec in enumerate(setup.receivers, start=1):
-        traces = []
-        try:
-            for kind in branch_arrivals(setup.model, rec):
-                grid = verify_grid(setup.model, rec, kind, s_trace, setup.dt)
-                if kind is WaveKind.REFLECTED:
-                    ch = reflected_trace(setup.model, rec, grid, setup.quad)
-                    traces.append((kind, grid, (ch.xi, ch.u_x, ch.u_z)))
-                else:
-                    ch = transmitted_trace(setup.model, rec, kind, grid,
-                                           setup.quad)
-                    traces.append((kind, grid, (ch.u_x, ch.u_z)))
-        except PoroseisError as exc:
-            raise PoroseisError(f"receiver {i}: {exc}") from exc
+        kinds = (WaveKind.REFLECTED,) if rec.z > 0.0 else _TRANSMITTED_ORDER
         for s in setup.verify_s:
             probe = default_probe(setup.model, rec, s, n=setup.verify_n)
-            for kind, grid, channels in traces:
-                size = verify_grid(setup.model, rec, kind, s, setup.dt).size
+            for kind in kinds:
+                try:
+                    t, w = laplace_nodes(setup.model, rec, kind, s)
+                    if kind is WaveKind.REFLECTED:
+                        ch = reflected_trace(setup.model, rec, t, setup.quad)
+                        channels = (ch.xi, ch.u_x, ch.u_z)
+                    else:
+                        ch = transmitted_trace(setup.model, rec, kind, t,
+                                               setup.quad)
+                        channels = (ch.u_x, ch.u_z)
+                except PoroseisError as exc:
+                    raise PoroseisError(f"receiver {i}: {exc}") from exc
                 for name, values in zip(_VERIFY_CHANNELS[kind], channels):
-                    trace_val = laplace_of_trace(values[:size], grid[:size], s)
+                    trace_val = float(w @ values)
                     try:
                         ref_val = laplace_reference(probe, setup.model, name)
                     except NotConverged as exc:

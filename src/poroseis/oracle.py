@@ -15,8 +15,8 @@ depend on the slowness only through rho^2 = q_x^2 + q_y^2, so in polar
 coordinates (rho, phi) the systems are solved at the radial Gauss-Legendre
 nodes only, and the kernel, even about phi = 0 and phi = pi/2, is summed by
 the spectrally accurate midpoint rule in phi (Trefethen & Weideman, SIAM
-Rev. 2014).  Agreement of these values with Laplace transforms of the
-time-domain traces is the strongest end-to-end check the package has.
+Rev. 2014).  Agreement of these values with the transforms of the traces
+at laplace_nodes is the strongest end-to-end check the package has.
 
 Also here: the brute-force arrival-time oracle used to validate the
 stationary-ray solver, and the bisection that checks the closed-form end of
@@ -31,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cagniard import Geometry, WaveBranch, _p0_vec, snell_time
+from .cagniard import (Geometry, WaveBranch, WaveKind, _p0_vec, arrival_times,
+                       reflected_branch, snell_time, transmitted_branches)
 from .coefficients import _solve_batch, _structural_entries
 from .errors import DomainError, NotConverged
-from .green import HalfspaceModel, Receiver
+from .green import HalfspaceModel, Receiver, _geometry_for
 
 # Channels integrable by laplace_reference, keyed by name.  Parity refers to
 # the q_x dependence of the spectral density after stripping the i*q_x of
@@ -44,6 +45,10 @@ _EVEN, _ODD = "even", "odd"
 
 _FLUID_CHANNELS = ("xi_ref", "u_ref_x", "u_ref_z", "u_inc_z")
 _POROUS_CHANNELS = ("u_pf_x", "u_pf_z", "u_ps_x", "u_ps_z", "u_s_x", "u_s_z")
+# laplace_nodes ends LAPLACE_SPAN / s past the onset (truncation exp(-34)
+# against the 1e-3 verify gate), with _LAPLACE_ORDER nodes per piece.
+LAPLACE_SPAN = 34.0
+_LAPLACE_ORDER = 64
 
 
 @functools.lru_cache
@@ -247,6 +252,37 @@ def incident_pressure_transform(model: HalfspaceModel, receiver: Receiver,
     r = math.hypot(off, receiver.z - model.source_height)
     v = model.acoustic.v_plus
     return math.exp(-s * r / v) / (4.0 * math.pi * v * v * r)
+
+
+def laplace_nodes(model: HalfspaceModel, receiver: Receiver, kind: WaveKind,
+                  s: float):
+    """Nodes t, weights w: w @ g(t) is the Laplace transform at s of trace g.
+
+    g, the branch's trace at the receiver, is zero before its first edge and
+    smooth between edges: t0, and t_h1 and t_h2 at every speed faster than
+    both legs (where the window meets that speed's branch point).  Each
+    piece up to LAPLACE_SPAN / s past the first edge gets Gauss-Legendre
+    nodes in t = a + (b - a) sin^2(theta), theta in (0, pi/2), which maps a
+    square-root edge at either end smooth.
+    """
+    geom = _geometry_for(model, receiver)
+    branches = {WaveKind.REFLECTED: reflected_branch(model.acoustic),
+                **transmitted_branches(model.acoustic, model.poro)}
+    branch = branches[kind]
+    edges = [arrival_times(geom, branch, model.v_max).t0]
+    for v in {b.v_bottom for b in branches.values()}:  # every speed
+        if v > max(branch.v_top, branch.v_bottom):
+            arr = arrival_times(geom, branch, v)
+            if arr.head_exists:
+                edges += [arr.t_h1, arr.t_h2]
+    end = min(edges) + LAPLACE_SPAN / s
+    edges = np.unique([e for e in edges if e < end] + [end])
+    x, w = _leggauss(_LAPLACE_ORDER)
+    theta = 0.25 * math.pi * (x + 1.0)
+    a, width = edges[:-1, None], np.diff(edges)[:, None]
+    t = (a + width * np.sin(theta) ** 2).ravel()
+    weight = (width * np.sin(2.0 * theta) * (0.25 * math.pi * w)).ravel()
+    return t, weight * np.exp(-s * t)
 
 
 def laplace_of_trace(values: np.ndarray, t_grid: np.ndarray, s: float) -> float:

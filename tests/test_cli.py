@@ -17,11 +17,12 @@ import poroseis
 from poroseis import cli
 from poroseis.cagniard import WaveKind
 from poroseis.cli import (ConfigError, fixture_config, load_config, main,
-                          run_compute, run_verify, verify_grid, verify_rows,
-                          _media_hash, _time_grid)
+                          run_compute, run_verify, verify_rows, _media_hash,
+                          _time_grid)
 from poroseis.errors import DomainError, NotConverged
 from poroseis.green import (ReflectedChannels, branch_arrivals, green_trace,
                             reflected_trace, transmitted_trace)
+from poroseis.oracle import laplace_nodes
 
 
 def small_config(out_dir, **overrides):
@@ -59,11 +60,10 @@ def test_fixture_command_prints_loadable_config(capsys):
     (lambda c: c["poroelastic"].update(phi=1.4), "porosity"),
     (lambda c: c["verify"].update(s_values_per_s=[0]), "positive, got 0"),
     (lambda c: c["verify"].update(s_values_per_s=[-5]), "positive, got -5"),
-    # More than 1e6 verify samples past onset at the fixture dt = 2.5e-4 s.
+    # A transform span 34/s over which the fastest wave travels past the
+    # largest accepted length.
     (lambda c: c["verify"].update(s_values_per_s=[1e-300]),
-     "smallest accepted s is 0.136"),
-    (lambda c: c["verify"].update(s_values_per_s=[20.0, 0.1]),
-     "entry 0.1 needs more than 1000000 samples"),
+     "lets the transform run past"),
     (lambda c: c["acoustic"].update(v_m_s=10 ** 400), "v_m_s is too large"),
     (lambda c: c["receivers"].__setitem__(0, [float("nan"), 0.0, -533.0]),
      "receiver 0 coordinate must be a finite number, got nan"),
@@ -328,30 +328,6 @@ def test_compute_writes_nothing_when_a_later_receiver_fails(tmp_path,
     assert not list(out.glob("receiver_*")) + list(out.glob("green_*"))
 
 
-def test_verify_grid_centres_the_onset(model, fluid_receiver,
-                                       porous_receiver):
-    dt = 2.5e-4
-    s = 20.0
-    grid = verify_grid(model, fluid_receiver, WaveKind.REFLECTED, s, dt)
-    arr = branch_arrivals(model, fluid_receiver)[WaveKind.REFLECTED]
-    offset = (arr.t0 - grid[0]) / dt
-    assert offset == pytest.approx(round(offset) + 0.5, abs=1e-9) \
-        or offset == pytest.approx(round(offset) - 0.5, abs=1e-9)
-    assert grid[-1] - arr.t0 >= 34.0 / s
-    np.testing.assert_allclose(np.diff(grid), dt, atol=1e-12)
-
-    # verify_rows transforms each s on a prefix of the smallest s's grid;
-    # that holds behind a head onset too (P-slow at the porous receiver).
-    assert branch_arrivals(model, porous_receiver)[
-        WaveKind.TRANSMITTED_PS].head_exists
-    for rec, kind in ((fluid_receiver, WaveKind.REFLECTED),
-                      (porous_receiver, WaveKind.TRANSMITTED_PS)):
-        long = verify_grid(model, rec, kind, s, dt)
-        short = verify_grid(model, rec, kind, 2.0 * s, dt)
-        assert short.size < long.size
-        assert short.tobytes() == long[:short.size].tobytes()
-
-
 def _verify_setup(tmp_path, monkeypatch, trace_value=1.0):
     cfg = small_config(tmp_path / "run")
     cfg["receivers"] = [[400.0, 0.0, 533.0]]
@@ -363,8 +339,9 @@ def _verify_setup(tmp_path, monkeypatch, trace_value=1.0):
         return ReflectedChannels(xi=fill, u_x=fill, u_z=fill)
 
     monkeypatch.setattr("poroseis.cli.reflected_trace", fake_trace)
-    monkeypatch.setattr("poroseis.cli.laplace_of_trace",
-                        lambda values, grid, s: 1.0)
+    monkeypatch.setattr("poroseis.cli.laplace_nodes",
+                        lambda model, receiver, kind, s: (np.ones(1),
+                                                          np.ones(1)))
     return setup
 
 
@@ -386,31 +363,38 @@ def test_verify_fails_past_tolerance(tmp_path, monkeypatch, capsys):
 
 def test_verify_fails_a_nan_row(tmp_path, monkeypatch, capsys):
     setup = _verify_setup(tmp_path, monkeypatch)
-    monkeypatch.setattr("poroseis.cli.laplace_of_trace", lambda *a: math.nan)
+    monkeypatch.setattr("poroseis.cli.laplace_nodes",
+                        lambda *a: (np.ones(1), np.full(1, math.nan)))
     monkeypatch.setattr("poroseis.cli.laplace_reference", lambda *a: 1.0)
     assert run_verify(setup) == 1
     assert "worst relative error nan > 1e-3" in capsys.readouterr().err
 
 
 def test_verify_traces_each_branch_once(monkeypatch):
-    """Each (receiver, branch) is traced once, on the grid of the smallest s,
-    and the rows equal, bit for bit, those of each s on its own grid."""
+    """Each (receiver, s, branch) is traced once, at the times laplace_nodes
+    gives; each (receiver, s) builds one oracle probe, and the rows equal,
+    bit for bit, those of each s run alone."""
     cfg = fixture_config()
-    cfg["source"]["f0_hz"] = 1.0
-    cfg["time"]["dt_s"] = 1e-2
     cfg["quadrature"]["n"] = 16
     cfg["verify"]["s_values_per_s"] = [40.0, 20.0]
     setup = load_config(cfg)
-    probes, calls = [], []
+    probes, nodes, calls = [], [], []
 
     def oracle(probe, model, name):
         probes.append(probe)
         return probe.s
 
+    def spy_nodes(model, rec, kind, s):
+        t, w = laplace_nodes(model, rec, kind, s)
+        nodes.append((rec, kind, s, t))
+        return t, w
+
     monkeypatch.setattr(cli, "laplace_reference", oracle)
+    monkeypatch.setattr(cli, "laplace_nodes", spy_nodes)
     own = {s: verify_rows(replace(setup, verify_s=[s]))[0]
            for s in (40.0, 20.0)}
     probes.clear()
+    nodes.clear()
 
     def spy(trace):
         def traced(model, rec, *args):
@@ -423,16 +407,49 @@ def test_verify_traces_each_branch_once(monkeypatch):
     monkeypatch.setattr(cli, "transmitted_trace", spy(transmitted_trace))
     rows, unconverged = verify_rows(setup)
     fluid, porous = setup.receivers
-    assert [call[:2] for call in calls] == [
-        (fluid, WaveKind.REFLECTED), (porous, WaveKind.TRANSMITTED_PF),
-        (porous, WaveKind.TRANSMITTED_PS), (porous, WaveKind.TRANSMITTED_S)]
-    for rec, kind, grid in calls:
-        assert grid.tobytes() == verify_grid(setup.model, rec, kind, 20.0,
-                                             setup.dt).tobytes()
-    assert len({id(probe) for probe in probes}) == 4  # one per (receiver, s)
+    branches = {fluid: [WaveKind.REFLECTED],
+                porous: [WaveKind.TRANSMITTED_PF, WaveKind.TRANSMITTED_PS,
+                         WaveKind.TRANSMITTED_S]}
+    assert [node[:3] for node in nodes] == [
+        (rec, kind, s) for rec in (fluid, porous) for s in (40.0, 20.0)
+        for kind in branches[rec]]
+    assert len(calls) == len(nodes)
+    for (rec, kind, t), node in zip(calls, nodes):
+        assert (rec, kind) == node[:2]
+        assert t.tobytes() == node[3].tobytes()
+    assert sorted({id(probe): (probe.receiver.z, probe.s)
+                   for probe in probes}.values()) == [
+        (-533.0, 20.0), (-533.0, 40.0), (533.0, 20.0), (533.0, 40.0)]
     assert not unconverged
     assert rows == [row for i in (1, 2) for s in (40.0, 20.0)
                     for row in own[s] if row[1] == i]
+
+
+def test_verify_rows_do_not_read_the_time_step(monkeypatch):
+    """The transform nodes come from the arrivals and s alone, so the rows
+    are bit-identical for two values of time.dt_s."""
+    monkeypatch.setattr(cli, "laplace_reference",
+                        lambda probe, model, name: probe.s)
+    cfg = fixture_config()
+    cfg["quadrature"]["n"] = 16
+    rows = []
+    for dt in (2.5e-4, 5e-4):
+        cfg["time"]["dt_s"] = dt
+        rows.append(verify_rows(load_config(cfg))[0])
+    assert len(rows[0]) == 18
+    assert rows[0] == rows[1]
+
+
+def test_verify_passes_at_a_small_s():
+    """s = 0.1, whose transform runs 340 s past the onset, verifies at
+    n = 64."""
+    cfg = fixture_config()
+    cfg["quadrature"]["n"] = 64
+    cfg["verify"]["s_values_per_s"] = [0.1]
+    rows, unconverged = verify_rows(load_config(cfg))
+    assert not unconverged
+    assert len(rows) == 9
+    assert max(row[5] for row in rows) <= 1e-3, rows
 
 
 def test_verify_reports_unconverged_oracle(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from poroseis.branch_math import kappa
-from poroseis.cagniard import WaveKind
+from poroseis.cagniard import (Geometry, WaveKind, arrival_times,
+                               reflected_branch)
 from poroseis.coefficients import _solve_structured, _structural_entries
 from poroseis.errors import ConvergenceFailure, DomainError, NonFiniteIntegrand
 from poroseis.green import (QuadratureConfig, Receiver, branch_arrivals,
@@ -174,6 +175,17 @@ def test_green_trace_sides(model, fluid_receiver, porous_receiver, fast_cfg):
 
     with pytest.raises(DomainError):
         green_trace(model, Receiver(x=400.0, y=0.0, z=0.0), t, fast_cfg)
+
+
+def test_receiver_on_the_interface_is_rejected(model):
+    """The arrivals of a receiver at z = 0 raise ValueError from Geometry,
+    not a division-by-zero warning in the crossing solve (a warning fails
+    the suite)."""
+    with pytest.raises(ValueError, match="interface"):
+        arrival_times(Geometry(h=500.0, x=400.0, z=0.0),
+                      reflected_branch(model.acoustic), model.v_max)
+    with pytest.raises(ValueError, match="interface"):
+        branch_arrivals(model, Receiver(x=400.0, y=0.0, z=0.0))
 
 
 def test_branch_arrival_bookkeeping(model, fluid_receiver, porous_receiver):

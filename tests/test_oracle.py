@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_random_media import random_setup
 
 from poroseis import oracle
 from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, arrival_times,
@@ -13,12 +14,13 @@ from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, arrival_times,
 from poroseis import coefficients
 from poroseis.coefficients import _solve_batch, _structural_entries
 from poroseis.errors import DomainError, NotConverged
-from poroseis.green import HalfspaceModel, Receiver, incident_trace
+from poroseis.green import (HalfspaceModel, Receiver, branch_arrivals,
+                            incident_trace)
 from poroseis.media import derive_poroelastic
 from poroseis.oracle import (LaplaceProbe, bisect_q_max, default_probe,
                              grid_min_arrival,
-                             incident_pressure_transform, laplace_of_trace,
-                             laplace_reference)
+                             incident_pressure_transform, laplace_nodes,
+                             laplace_of_trace, laplace_reference)
 
 
 def test_laplace_of_smooth_ramp():
@@ -47,6 +49,64 @@ def test_laplace_of_trace_needs_long_window():
     t = np.linspace(0.0, 0.5, 100)
     with pytest.raises(ValueError):
         laplace_of_trace(np.ones_like(t), t, 20.0)
+
+
+@pytest.fixture(scope="module")
+def node_cases(acoustic, model, fluid_receiver, porous_receiver):
+    """(model, receiver, branch, s, edges, t, w) for every branch at the two
+    fixture receivers and the two receivers of seeds 0-159 of the
+    random-media sampler, at s = 5, 20 and 40.  The edges are t0, and t_h1
+    and t_h2 for every speed faster than both legs of the branch."""
+    setups = [(model, fluid_receiver), (model, porous_receiver)]
+    for seed in range(160):
+        drawn, porous, fluid = random_setup(seed, acoustic)
+        setups += [(drawn, porous), (drawn, fluid)]
+    cases = []
+    for mod, rec in setups:
+        geom = Geometry(h=mod.source_height, x=math.hypot(rec.x, rec.y),
+                        z=rec.z)
+        speeds = {mod.acoustic.v_plus, mod.poro.v_pf, mod.poro.v_ps,
+                  mod.poro.v_s}
+        for kind, arr in branch_arrivals(mod, rec).items():
+            branch = reflected_branch(mod.acoustic) \
+                if kind is WaveKind.REFLECTED \
+                else transmitted_branches(mod.acoustic, mod.poro)[kind]
+            edges = [arr.t0]
+            for v in speeds:
+                if v > max(branch.v_top, branch.v_bottom):
+                    head = arrival_times(geom, branch, v)
+                    if head.head_exists:
+                        edges += [head.t_h1, head.t_h2]
+            for s in (5.0, 20.0, 40.0):
+                t, w = laplace_nodes(mod, rec, kind, s)
+                cases.append((mod, rec, kind, s, edges, t, w))
+    return cases
+
+
+def test_laplace_nodes_integrate_square_root_edges(node_cases):
+    """The rule integrates sqrt(t - e)_+ exp(-s t), whose transform is
+    Gamma(3/2) exp(-s e) / s^1.5, for every edge e within 10/s of the first:
+    the square-root singularity at each split point is mapped smooth."""
+    worst, checks = 0.0, 0
+    for _, _, _, s, edges, t, w in node_cases:
+        for e in edges:
+            if e <= min(edges) + 10.0 / s:
+                exact = math.gamma(1.5) * math.exp(-s * e) / s ** 1.5
+                value = w @ np.sqrt(np.maximum(t - e, 0.0))
+                worst = max(worst, abs(value - exact) / exact)
+                checks += 1
+    assert checks > 3000
+    assert worst <= 1e-9, worst
+
+
+def test_laplace_nodes_shape(node_cases):
+    """Finite, strictly increasing times, positive weights, and at most
+    seven pieces of 64 nodes."""
+    for mod, rec, kind, s, _, t, w in node_cases:
+        case = (rec, kind, s)
+        assert np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0), case
+        assert np.all(w > 0.0), case
+        assert t.shape == w.shape and t.size <= 7 * 64, case
 
 
 def test_incident_transform_uses_direct_distance():

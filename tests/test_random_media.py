@@ -16,13 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poroseis.cagniard import WaveKind
-from poroseis.cli import verify_grid
 from poroseis.errors import NonPhysical, PoroseisError
 from poroseis.green import (HalfspaceModel, QuadratureConfig, Receiver,
                             branch_arrivals, reflected_trace,
                             transmitted_trace)
 from poroseis.media import PoroelasticParams, derive_poroelastic
-from poroseis.oracle import default_probe, laplace_of_trace, laplace_reference
+from poroseis.oracle import default_probe, laplace_nodes, laplace_reference
 
 
 def random_setup(seed, acoustic):
@@ -117,19 +116,35 @@ def test_random_media_samples_just_past_every_edge(acoustic):
     assert not failures, failures
 
 
+def branch_channels(model, receiver, kind, t, cfg):
+    """Trace channels of one branch at times t, keyed by oracle channel."""
+    if kind is WaveKind.REFLECTED:
+        trace = reflected_trace(model, receiver, t, cfg)
+        return {"xi_ref": trace.xi, "u_ref_x": trace.u_x, "u_ref_z": trace.u_z}
+    trace = transmitted_trace(model, receiver, kind, t, cfg)
+    tag = kind.value.removeprefix("transmitted_")
+    return {f"u_{tag}_x": trace.u_x, f"u_{tag}_z": trace.u_z}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_random_media_agree_with_oracle(acoustic, porous_receiver, seed):
-    """Fast-P vertical displacement at the fixture geometry against the
-    oracle at s = 40, to the 1e-3 of the verify gate."""
+def test_random_media_agree_with_oracle(acoustic, fluid_receiver,
+                                        porous_receiver, seed):
+    """All nine channels at the fixture geometry, the six transmitted ones
+    at the porous receiver and the three reflected ones at the fluid
+    receiver, transformed on laplace_nodes, against the oracle at s = 40, to
+    the 1e-3 of the verify gate."""
     model, _, _ = random_setup(seed, acoustic)
     model = HalfspaceModel(acoustic, model.poro, 500.0)
     s = 40.0
-    grid = verify_grid(model, porous_receiver, WaveKind.TRANSMITTED_PF, s,
-                       1e-3)
-    trace = transmitted_trace(model, porous_receiver,
-                              WaveKind.TRANSMITTED_PF, grid,
-                              QuadratureConfig(n=64))
-    trace_val = laplace_of_trace(trace.u_z, grid, s)
-    oracle_val = laplace_reference(
-        default_probe(model, porous_receiver, s, n=240), model, "u_pf_z")
-    assert abs(trace_val - oracle_val) <= 1e-3 * abs(oracle_val)
+    errors = {}
+    for receiver in (porous_receiver, fluid_receiver):
+        probe = default_probe(model, receiver, s, n=240)
+        for kind in branch_arrivals(model, receiver):
+            t, w = laplace_nodes(model, receiver, kind, s)
+            channels = branch_channels(model, receiver, kind, t,
+                                       QuadratureConfig(n=64))
+            for name, values in channels.items():
+                oracle_val = laplace_reference(probe, model, name)
+                errors[name] = abs(w @ values - oracle_val) / abs(oracle_val)
+    assert len(errors) == 9
+    assert max(errors.values()) <= 1e-3, errors
