@@ -28,6 +28,10 @@ reflected receiver mirrored through the interface): its time is the
 fictitious arrival t0(q) that closes the volume window, read as the excess
 (t - t0(0)) - (t0(q) - t0(0)) so that nothing cancels next to an arrival,
 and its horizontal slowness in the fluid is the saddle slowness p0(q).
+Both come from one solve of that excess (_contour): from the saddle it
+steps along the real direction where the excess is positive (the volume
+point) and along the imaginary axis towards the origin where it is
+negative (the head point).
 
 Everything upstream of the interface coefficients is geometry and lives
 here: arrival times, window bounds in q at fixed t, and the contour points
@@ -55,9 +59,6 @@ MAX_LENGTH_M = 1e100
 _MIN_HEAD_OFFSET = 1e-9
 # Residual target of the volume-contour Newton solve, scaled by (1 + t).
 _GAMMA_TOL = 1e-12
-# Largest residual accepted from the head-segment solve, scaled by (1 + t);
-# it stops at 1e-14 * (1 + t), as T'(zeta) -> 0 next to the saddle.
-_UPSILON_TOL = 1e-11
 # Cap on the square-root-free contour steps; points still off target after
 # it go to the planar residual search (_plane_search), the one fallback.
 _CONTOUR_STEPS = 8
@@ -452,18 +453,54 @@ def _flat_q(q):
     return q.ravel(), q.shape
 
 
+def _arrival_excess(t: float, q, geom: Geometry, branch: WaveBranch):
+    """(excess, rise, p0) at one t and flat q: the excess (t - t0(0)) -
+    rise(q) over the stationary ray, its rise t0(q) - t0(0) and the saddle
+    slowness p0 (None on the reflected branch, whose rise r*q^2/(s + s0)
+    and contour are closed forms)."""
+    if branch.kind is WaveKind.REFLECTED:
+        sa = np.sqrt(_slowness_sq(q, branch)[0])
+        rise, p0 = geom.r * (q * q) / (sa + 1.0 / branch.v_top), None
+    else:
+        rise, _, p0 = _stationary_ray(q, geom, branch)
+    return (t - _t0_zero(geom, branch)) - rise, rise, p0
+
+
 def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
     """Volume-contour points for one time t and an array of q, with d/dt.
 
     Returns gamma, dgamma/dt and the vertical slownesses kappa_top and
-    kappa_bottom at gamma on the physical branch, so that callers need not
-    take those square roots again.  The residual |T(gamma) - t| is judged
-    here and not returned; phase_time gives it from an independent root.
+    kappa_bottom at gamma on the physical branch (see _contour).  One check
+    raises DomainError where the excess (t - t0(0)) - rise(q) is not
+    positive.
+    """
+    t = float(t)
+    q, shape = _flat_q(q)
+    excess, rise, p0 = _arrival_excess(t, q, geom, branch)
+    if np.any(excess <= 0.0):
+        i = int(np.argmax(excess <= 0.0))
+        raise DomainError(f"t={t} is not past the fictitious arrival "
+                          f"{_t0_zero(geom, branch) + rise[i]} at q={q[i]}")
+    return tuple(v.reshape(shape)
+                 for v in _contour(t, q, excess, rise, p0, geom, branch))
 
-    One check raises DomainError where the excess (t - t0(0)) - rise(q)
-    is not positive.  The reflected wave has a closed form, with radicand
-    excess*(t + t0(q))/r^2 and the rise r*q^2/(s + s0).  Transmitted waves
-    start from the saddle-point expansion and solve the polynomial system
+
+def _contour(t: float, q, excess, rise, p0, geom: Geometry,
+             branch: WaveBranch):
+    """Contour points of both pieces at one t and flat q, from the excess.
+
+    Returns (gamma, dgamma/dt, kappa_top, kappa_bottom), the kappas on the
+    physical branch, so that callers need not take those square roots
+    again.  The residual |T(gamma) - t| is judged here and not returned;
+    phase_time gives it from an independent root.
+
+    Where the excess is positive this is the volume point in the lower
+    right quadrant; where it is negative, the head point -i*zeta between
+    the saddle -i*p0 and the origin: the square root of the excess is
+    taken of its size in real arithmetic and turned by i where it is
+    negative.  The reflected wave has a closed form, with radicand
+    excess*(t + t0(q))/r^2.  Transmitted waves start from the saddle-point
+    expansion and solve the polynomial system
 
         k_a^2 = s_a^2 + gamma^2,  k_b^2 = s_b^2 + gamma^2,
         d_top * k_a + d_bot * k_b + i * gamma * x = t
@@ -473,35 +510,21 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
     _contour_steps).  Each kappa is then taken once with branch_sqrt.  The
     one fallback: points whose |T(gamma) - t| still misses the target go to
     the derivative-free planar residual search _plane_search from the
-    saddle seed, which raises ConvergenceFailure where it stalls.  The
-    stationary crossing at q (see _xi_zero) gives both the rise and the
-    saddle.
+    saddle seed, which raises ConvergenceFailure where it stalls.
     """
-    t = float(t)
-    q, shape = _flat_q(q)
     d_top, d_bot = _depths(geom, branch)
     x = geom.x
-    t0 = _t0_zero(geom, branch)
     sa2, sb2 = _slowness_sq(q, branch)
-    reflected = branch.kind is WaveKind.REFLECTED
-    if reflected:
-        rise = geom.r * (q * q) / (np.sqrt(sa2) + 1.0 / branch.v_top)
-    else:
-        rise, _, p0 = _stationary_ray(q, geom, branch)
-    excess = (t - t0) - rise
-    if np.any(excess <= 0.0):
-        i = int(np.argmax(excess <= 0.0))
-        raise DomainError(f"t={t} is not past the fictitious arrival "
-                          f"{t0 + rise[i]} at q={q[i]}")
+    head = excess < 0.0
 
-    if reflected:
+    if branch.kind is WaveKind.REFLECTED:
         r = geom.r
-        big_d = np.sqrt(excess * (t + (t0 + rise))) / r
+        t0q = _t0_zero(geom, branch) + rise
+        big_d = np.sqrt(np.abs(excess) * (t + t0q)) / r
+        big_d = np.where(head, 1j * big_d, big_d)
         gam = -1j * (x * t / r ** 2) + (d_top / r) * big_d
         kap = (d_top * t / r ** 2) - 1j * (x / r) * big_d
-        dgdt = kap / (r * big_d)
-        kap = kap.reshape(shape)
-        return gam.reshape(shape), dgdt.reshape(shape), kap, kap
+        return gam, kap / (r * big_d), kap, kap
 
     def kappas(g):
         return branch_sqrt(sa2 + g * g), branch_sqrt(sb2 + g * g)
@@ -516,13 +539,14 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
     # delta = gamma + i*p0 with a real positive second derivative and an
     # imaginary third one (at the saddle each kappa has second and third
     # derivatives s^2/k0^3 and 3i*p0*s^2/k0^5), inverted here to second
-    # order in delta.
+    # order in delta; delta is imaginary where the excess is negative.
     ka0 = np.sqrt(sa2 - p0 * p0)
     kb0 = np.sqrt(sb2 - p0 * p0)
     ca = d_top * sa2 / (ka0 * ka0 * ka0)
     cb = d_bot * sb2 / (kb0 * kb0 * kb0)
     curv = ca + cb
-    delta = np.sqrt(2.0 * excess / curv)
+    delta = np.sqrt(2.0 * np.abs(excess) / curv)
+    delta = np.where(head, 1j * delta, delta)
     delta = delta * (1.0 - 0.5j * p0 * delta
                      * (ca / (ka0 * ka0) + cb / (kb0 * kb0)) / curv)
     g_seed = -1j * p0 + delta
@@ -556,9 +580,7 @@ def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
                 t, complex(g_seed[i]), tol, float(q[i]), branch)
         ka, kb = kappas(g)
 
-    dgdt = 1.0 / t_slope(g, ka, kb)
-    return (g.reshape(shape), dgdt.reshape(shape), ka.reshape(shape),
-            kb.reshape(shape))
+    return g, 1.0 / t_slope(g, ka, kb), ka, kb
 
 
 def _contour_steps(delta, ua, ub, p0, ka0, kb0, d_top, d_bot, x, excess, tol):
@@ -622,7 +644,7 @@ def _plane_search(t_scalar, t, center, tol, q, branch):
             if span < 1e-25:
                 break
     raise ConvergenceFailure(t, q, branch.kind.value,
-                             f"volume contour stalled at residual {best_val:.3e}")
+                             f"contour stalled at residual {best_val:.3e}")
 
 
 def upsilon(t: float, q: float, geom: Geometry, branch: WaveBranch,
@@ -630,7 +652,8 @@ def upsilon(t: float, q: float, geom: Geometry, branch: WaveBranch,
     """Head-segment point at (t, q): purely imaginary, travel time t.
 
     Valid only inside the head windows returned by head_window; elsewhere a
-    DomainError is raised.
+    DomainError is raised.  The residual comes from phase_time, as in
+    gamma.
     """
     arr = arrival_times(geom, branch, v_max)
     window = head_window(t, arr, geom, branch, v_max)
@@ -638,51 +661,33 @@ def upsilon(t: float, q: float, geom: Geometry, branch: WaveBranch,
     if window is None or not window[0] - slack <= q <= window[1] + slack:
         raise DomainError(
             f"(t={t}, q={q}) is outside the head segment of {branch.kind.value}")
-    val, dt, res = _upsilon_vec(t, np.array([q], dtype=float), geom, branch, v_max)
+    val, dt, _, _ = _upsilon_vec(t, np.array([q], dtype=float), geom, branch)
+    res = abs(phase_time(complex(val[0]), q, geom, branch) - t)
     return ContourPoint(value=complex(val[0]), dt=complex(dt[0]),
-                        residual=float(res[0]))
+                        residual=float(res))
 
 
-def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch, v_max: float):
-    """Head-segment points for one time t and an array of q.
+def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch):
+    """Head-segment points for one time t and an array of q, with d/dt.
 
-    Solves T(-i*zeta) = t for real zeta between the fastest branch point
-    and the saddle slowness, where T is real and strictly increasing, with
-    _bracketed_newton from the midpoint; the time derivative is -i/T'(zeta),
-    whose negative imaginary part is asserted.
+    The same solve as _gamma_vec (_contour) at the negative excess, which
+    lands on -i*zeta between the fastest branch point and the saddle, and
+    the same 4-tuple.  Next to q0 the excess can round to 0, which would
+    seed on the saddle itself, where T' = 0; it is capped at
+    -eps*|t - t0(0)|, the rounding of the excess.  A point off the
+    imaginary axis, or past the saddle (Im(dupsilon/dt) >= 0, where T
+    stops increasing in zeta), raises ConvergenceFailure.
     """
     t = float(t)
     q, shape = _flat_q(q)
-    d_top, d_bot = _depths(geom, branch)
-    x = geom.x
-    sa2, sb2 = _slowness_sq(q, branch)
-    tip = np.sqrt(1.0 / v_max ** 2 + q * q)
-    p0 = _p0_vec(q, geom, branch)
-
-    def t_of(zeta):
-        pa = np.sqrt(np.maximum(sa2 - zeta * zeta, 0.0))
-        pb = np.sqrt(np.maximum(sb2 - zeta * zeta, 0.0))
-        return d_top * pa + d_bot * pb + zeta * x
-
-    def t_slope(zeta):
-        pa = np.sqrt(np.maximum(sa2 - zeta * zeta, 1e-300))
-        pb = np.sqrt(np.maximum(sb2 - zeta * zeta, 1e-300))
-        return x - d_top * zeta / pa - d_bot * zeta / pb
-
-    tol = _UPSILON_TOL * (1.0 + abs(t))
-    zeta = _bracketed_newton(lambda z: (t_of(z) - t, lambda: t_slope(z)),
-                             0.5 * (tip + p0), tip, p0, 1e-14 * (1.0 + abs(t)),
-                             100)
-    resid = np.abs(t_of(zeta) - t)
-    if np.any(resid > tol):
-        i = int(np.argmax(resid > tol))
+    excess, rise, p0 = _arrival_excess(t, q, geom, branch)
+    excess = np.minimum(excess, -np.finfo(float).eps
+                        * abs(t - _t0_zero(geom, branch)))
+    ups, dt, ka, kb = _contour(t, q, excess, rise, p0, geom, branch)
+    bad = (ups.real != 0.0) | ~(dt.imag < 0.0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise ConvergenceFailure(t, float(q[i]), branch.kind.value,
-                                 f"head segment stalled at residual {resid[i]:.3e}")
-    slope = t_slope(zeta)
-    if np.any(slope <= 0.0):
-        i = int(np.argmax(slope <= 0.0))
-        raise ConvergenceFailure(t, float(q[i]), branch.kind.value,
-                                 "head segment hit a non-increasing travel time")
-    val = -1j * zeta
-    dt = -1j / slope
-    return val.reshape(shape), dt.reshape(shape), resid.reshape(shape)
+                                 f"head point {ups[i]} is off the imaginary "
+                                 "axis or past the saddle")
+    return tuple(v.reshape(shape) for v in (ups, dt, ka, kb))

@@ -231,7 +231,7 @@ def _head_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     lies on (branch_math.kappa_below_cut).
     """
     ac, pd = model.acoustic, model.poro
-    ups, dups, _ = cagniard._upsilon_vec(t, q, geom, branch, model.v_max)
+    ups, dups, _, _ = cagniard._upsilon_vec(t, q, geom, branch)
     zeta = -ups.imag
     kappas = tuple(kappa_below_cut(v, zeta, q)
                    for v in (ac.v_plus, pd.v_pf, pd.v_ps, pd.v_s))

@@ -113,8 +113,9 @@ def test_criterion_3_contour_residuals(model, acoustic, poro):
                 volume_points += res.size
             if head is not None:
                 lo, hi = head
-                _, _, res = cagniard._upsilon_vec(t, lo + fracs * (hi - lo),
-                                                  geom, branch, v_max)
+                q = lo + fracs * (hi - lo)
+                ups = cagniard._upsilon_vec(t, q, geom, branch)[0]
+                res = np.abs(cagniard.phase_time(ups, q, geom, branch) - t)
                 assert np.max(res) <= 1e-10
                 head_points += res.size
         assert volume_points >= 5000, branch.kind.value

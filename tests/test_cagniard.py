@@ -1,4 +1,4 @@
-"""Contour machinery: arrivals, windows, and the two contour solvers."""
+"""Contour machinery: arrivals, windows, and the contour solve of both pieces."""
 
 import math
 
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from poroseis.branch_math import kappa
 from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, _bracketed_newton,
-                               _gamma_vec, _p0_vec, _stationary_ray, _t0_vec,
-                               _upsilon_vec, _xi_zero,
+                               _depths, _gamma_vec, _p0_vec, _stationary_ray,
+                               _t0_vec, _upsilon_vec, _xi_zero,
                                arrival_times, fictitious_arrival,
                                gamma, head_window,
                                phase_time, q0_of_t, q1_of_t,
@@ -377,25 +377,54 @@ def _nan_steps(delta, *args):
     return np.full_like(delta, complex(np.nan, np.nan))
 
 
+def _head_cases(branches, porous_geom, wide_geom, v_max, n):
+    """(geom, branch, t, q) of head-window nodes: the fixture P-slow mixed
+    windows at four times between t0 and t_h2 (lower_sqrt nodes) and the
+    wide S head windows at three times between t_h1 and t0 (midpoint
+    nodes)."""
+    cases = []
+    branch = branches[WaveKind.TRANSMITTED_PS]
+    arr = arrival_times(porous_geom, branch, v_max)
+    for frac in (1e-3, 0.1, 0.5, 0.9):
+        t = arr.t0 + frac * (arr.t_h2 - arr.t0)
+        a, b = head_window(t, arr, porous_geom, branch, v_max)
+        u = (np.arange(n) + 0.5) * (math.sqrt(b * b - a * a) / n)
+        cases.append((porous_geom, branch, t, np.sqrt(a * a + u * u)))
+    branch = branches[WaveKind.TRANSMITTED_S]
+    arr = arrival_times(wide_geom, branch, v_max)
+    for frac in (0.1, 0.5, 0.9):
+        t = arr.t_h1 + frac * (arr.t0 - arr.t_h1)
+        a, b = head_window(t, arr, wide_geom, branch, v_max)
+        cases.append((wide_geom, branch, t,
+                      a + (np.arange(n) + 0.5) * ((b - a) / n)))
+    return cases
+
+
 @pytest.mark.parametrize("patch_name, value", [
     ("_CONTOUR_STEPS", 0),          # no step taken: the seed is off target
     ("_contour_steps", _nan_steps),  # steps that return non-finite deltas
 ], ids=["no_steps", "nan_steps"])
-def test_contour_fallback_solves_the_contour(branches, porous_geom,
-                                             monkeypatch, patch_name, value):
+def test_contour_fallback_solves_the_contour(branches, porous_geom, wide_geom,
+                                             model, monkeypatch, patch_name,
+                                             value):
     """When the square-root-free steps leave every node off target, the
     planar search from the saddle seed still meets the residual target and
-    finds the same roots."""
+    finds the same roots, on the volume piece and on the head piece."""
     from poroseis import cagniard
 
+    cases = []
     for branch in branches.values():
         t = fictitious_arrival(0.0, porous_geom, branch) + 3e-3
         q = _sin_nodes(t, porous_geom, branch, n=16)
-        fast = _gamma_vec(t, q, porous_geom, branch)
+        cases.append((_gamma_vec, porous_geom, branch, t, q))
+    cases += [(_upsilon_vec, *case) for case in
+              _head_cases(branches, porous_geom, wide_geom, model.v_max, 16)]
+    for solve, geom, branch, t, q in cases:
+        fast = solve(t, q, geom, branch)
         with monkeypatch.context() as patch:
             patch.setattr(cagniard, patch_name, value)
-            safe = _gamma_vec(t, q, porous_geom, branch)
-        resid = np.abs(phase_time(safe[0], q, porous_geom, branch) - t)
+            safe = solve(t, q, geom, branch)
+        resid = np.abs(phase_time(safe[0], q, geom, branch) - t)
         assert np.max(resid) <= 1e-12 * (1.0 + t)
         assert np.max(np.abs(safe[0] - fast[0]) / np.abs(fast[0])) <= 1e-7
         for k_safe, k_fast in zip(safe[2:], fast[2:]):
@@ -496,7 +525,7 @@ def test_head_solve_is_converged_next_to_the_saddle(branches, porous_geom,
         b = q1_of_t(t, porous_geom, branch, model.v_max)
         u = (np.arange(n) + 0.5) * (math.sqrt(b * b - a * a) / n)
         q = np.sqrt(a * a + u * u)  # the lower_sqrt quadrature nodes
-        zeta = -_upsilon_vec(t, q, porous_geom, branch, model.v_max)[0].imag
+        zeta = -_upsilon_vec(t, q, porous_geom, branch)[0].imag
         sa2 = 1.0 / branch.v_top ** 2 + q * q
         sb2 = 1.0 / branch.v_bottom ** 2 + q * q
         polished = zeta
@@ -506,6 +535,92 @@ def test_head_solve_is_converged_next_to_the_saddle(branches, porous_geom,
             polished = polished - f / (x - d_top * polished / pa
                                        - d_bot * polished / pb)
         assert np.max(np.abs(polished - zeta) / zeta) < 1e-7, frac
+
+
+def _polished_head_roots(t, q, geom, branch, zeta):
+    """Four Newton steps on T(-i*zeta) = t in extended precision from zeta,
+    and dzeta/dt = 1/T'(zeta) at the result."""
+    ld = np.longdouble
+    x = ld(geom.x)
+    d_top, d_bot = (ld(d) for d in _depths(geom, branch))
+    q = q.astype(ld)
+    sa2 = 1 / ld(branch.v_top) ** 2 + q * q
+    sb2 = 1 / ld(branch.v_bottom) ** 2 + q * q
+
+    def residual_and_slope(z):
+        pa, pb = np.sqrt(sa2 - z * z), np.sqrt(sb2 - z * z)
+        return (d_top * pa + d_bot * pb + x * z - ld(t),
+                x - d_top * z / pa - d_bot * z / pb)
+
+    zeta = zeta.astype(ld)
+    for _ in range(4):
+        f, slope = residual_and_slope(zeta)
+        zeta = zeta - f / slope
+    return zeta, 1 / residual_and_slope(zeta)[1]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="needs an extended-precision long double")
+def test_head_contour_is_accurate_next_to_the_saddle(acoustic, branches,
+                                                     porous_geom, wide_geom,
+                                                     model):
+    """zeta and dzeta/dt on the lower_sqrt nodes of mixed head windows
+    (q0, q1) agree to 1e-10 and 1e-5 relative with roots polished in
+    extended precision, next to q0 too, where T'(zeta) -> 0 and a small
+    residual alone leaves zeta loose.  Cases: the fixture P-slow, the wide
+    S and P-slow and a wide fluid receiver's reflected branch, at t0 +
+    {1e-4, 3e-3, 5e-2, 0.5}*(t_h2 - t0)."""
+    cases = [(porous_geom, branches[WaveKind.TRANSMITTED_PS]),
+             (wide_geom, branches[WaveKind.TRANSMITTED_S]),
+             (wide_geom, branches[WaveKind.TRANSMITTED_PS]),
+             (Geometry(h=500.0, x=2500.0, z=100.0), reflected_branch(acoustic))]
+    n = 2000
+    for geom, branch in cases:
+        arr = arrival_times(geom, branch, model.v_max)
+        assert arr.head_exists and arr.t0 < arr.t_h2
+        for frac in (1e-4, 3e-3, 5e-2, 0.5):
+            t = arr.t0 + frac * (arr.t_h2 - arr.t0)
+            a = q0_of_t(t, geom, branch)
+            b = q1_of_t(t, geom, branch, model.v_max)
+            u = (np.arange(n) + 0.5) * (math.sqrt(b * b - a * a) / n)
+            q = np.sqrt(a * a + u * u)  # the lower_sqrt quadrature nodes
+            ups, dups = _upsilon_vec(t, q, geom, branch)[:2]
+            ref, ref_dt = _polished_head_roots(t, q, geom, branch, -ups.imag)
+            zeta_err = np.abs(-ups.imag - ref) / ref
+            dt_err = np.abs(-dups.imag - ref_dt) / np.abs(ref_dt)
+            assert float(np.max(zeta_err)) <= 1e-10, (branch.kind, frac)
+            assert float(np.max(dt_err)) <= 1e-5, (branch.kind, frac)
+
+
+@pytest.mark.parametrize("bend", [
+    lambda g, dt: (g + 1e-9 * abs(g[0]), dt),  # off the imaginary axis
+    lambda g, dt: (g, np.conj(dt)),            # past the saddle
+], ids=["off_axis", "past_saddle"])
+def test_misplaced_head_point_names_its_node(branches, wide_geom, model,
+                                             monkeypatch, bend):
+    """A head point off the imaginary axis, or one where T no longer
+    increases in zeta, raises ConvergenceFailure carrying the time,
+    slowness and branch."""
+    from poroseis import cagniard
+
+    branch = branches[WaveKind.TRANSMITTED_S]
+    arr = arrival_times(wide_geom, branch, model.v_max)
+    t = 0.5 * (arr.t_h1 + arr.t0)
+    lo, hi = head_window(t, arr, wide_geom, branch, model.v_max)
+    q = np.linspace(lo, hi, 4)[1:3]
+    solve = cagniard._contour
+
+    def bent(*args):
+        g, dt, ka, kb = solve(*args)
+        g, dt = bend(g, dt)
+        return g, dt, ka, kb
+
+    monkeypatch.setattr(cagniard, "_contour", bent)
+    with pytest.raises(ConvergenceFailure) as info:
+        _upsilon_vec(t, q, wide_geom, branch)
+    assert info.value.t == t
+    assert info.value.q == q[0]
+    assert info.value.branch == branch.kind.value
 
 
 def test_upsilon_rejects_points_outside_segment(branches, wide_geom, model):

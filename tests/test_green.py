@@ -366,29 +366,42 @@ def test_volume_nodes_take_few_complex_square_roots(model, porous_receiver,
     """The contour hands its vertical slownesses to the interface solve:
     each volume node of the porous receiver takes six complex square roots
     (the two kappas at the seed and at the root, and the two porous ones
-    the contour does not carry), not one pair per Newton step."""
+    the contour does not carry), and each head node four (the two kappas
+    at the seed and at the root of the same solve), not one pair per
+    Newton step."""
     from poroseis import branch_math, cagniard, green
 
-    counts = {"roots": 0, "nodes": 0}
+    roots = {"volume": 0, "head": 0}
+    nodes = {"volume": 0, "head": 0}
+    piece = ["volume"]  # roots taken outside the head solve are the volume's
     sqrt = branch_math.branch_sqrt
-    solve = cagniard._gamma_vec
 
     def counted_sqrt(arg):
-        counts["roots"] += np.size(arg)
+        roots[piece[0]] += np.size(arg)
         return sqrt(arg)
 
-    def counted_solve(t, q, *args):
-        counts["nodes"] += np.size(q)
-        return solve(t, q, *args)
+    def counted(name, kind):
+        solve = getattr(cagniard, name)
+
+        def counted_solve(t, q, *args):
+            nodes[kind] += np.size(q)
+            piece[0] = kind
+            try:
+                return solve(t, q, *args)
+            finally:
+                piece[0] = "volume"
+        monkeypatch.setattr(cagniard, name, counted_solve)
 
     monkeypatch.setattr(branch_math, "branch_sqrt", counted_sqrt)
     monkeypatch.setattr(cagniard, "branch_sqrt", counted_sqrt)
     monkeypatch.setattr(green, "branch_sqrt", counted_sqrt)
-    monkeypatch.setattr(cagniard, "_gamma_vec", counted_solve)
+    counted("_gamma_vec", "volume")
+    counted("_upsilon_vec", "head")
     t = np.arange(0.5, 0.905, 1.0 / 600.0)
     green_trace(model, porous_receiver, t, QuadratureConfig(n=64))
-    assert counts["nodes"] > 0
-    assert counts["roots"] <= 6 * counts["nodes"]
+    assert nodes["volume"] > 0 and nodes["head"] > 0
+    assert roots["volume"] <= 6 * nodes["volume"]
+    assert roots["head"] <= 4 * nodes["head"]
 
 
 def test_volume_kappas_equal_branch_math_kappa_bit_for_bit(
