@@ -447,17 +447,21 @@ def gamma(t: float, q: float, geom: Geometry, branch: WaveBranch) -> ContourPoin
                         residual=float(res))
 
 
-def _flat_q(q):
-    """Flat float copy of q (at least 1-d) and its shape."""
+def _flat_tq(t, q):
+    """Flat float copies of t and q, one t per node, and q's shape.
+
+    q is at least 1-d; t is a scalar or has q's shape.
+    """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    return q.ravel(), q.shape
+    t = np.broadcast_to(np.asarray(t, dtype=float), q.shape)
+    return t.ravel(), q.ravel(), q.shape
 
 
-def _arrival_excess(t: float, q, geom: Geometry, branch: WaveBranch):
-    """(excess, rise, p0) at one t and flat q: the excess (t - t0(0)) -
-    rise(q) over the stationary ray, its rise t0(q) - t0(0) and the saddle
-    slowness p0 (None on the reflected branch, whose rise r*q^2/(s + s0)
-    and contour are closed forms)."""
+def _arrival_excess(t, q, geom: Geometry, branch: WaveBranch):
+    """(excess, rise, p0) at flat t and q, one t per node: the excess
+    (t - t0(0)) - rise(q) over the stationary ray, its rise t0(q) - t0(0)
+    and the saddle slowness p0 (None on the reflected branch, whose rise
+    r*q^2/(s + s0) and contour are closed forms)."""
     if branch.kind is WaveKind.REFLECTED:
         sa = np.sqrt(_slowness_sq(q, branch)[0])
         rise, p0 = geom.r * (q * q) / (sa + 1.0 / branch.v_top), None
@@ -466,28 +470,28 @@ def _arrival_excess(t: float, q, geom: Geometry, branch: WaveBranch):
     return (t - _t0_zero(geom, branch)) - rise, rise, p0
 
 
-def _gamma_vec(t: float, q, geom: Geometry, branch: WaveBranch):
-    """Volume-contour points for one time t and an array of q, with d/dt.
+def _gamma_vec(t, q, geom: Geometry, branch: WaveBranch):
+    """Volume-contour points at an array of q, with d/dt.
 
-    Returns gamma, dgamma/dt and the vertical slownesses kappa_top and
-    kappa_bottom at gamma on the physical branch (see _contour).  One check
-    raises DomainError where the excess (t - t0(0)) - rise(q) is not
-    positive.
+    t is one time for all nodes or one per node (q's shape); every point
+    depends on its own (t, q) alone.  Returns gamma, dgamma/dt and the
+    vertical slownesses kappa_top and kappa_bottom at gamma on the physical
+    branch (see _contour).  One check raises DomainError where the excess
+    (t - t0(0)) - rise(q) is not positive.
     """
-    t = float(t)
-    q, shape = _flat_q(q)
+    t, q, shape = _flat_tq(t, q)
     excess, rise, p0 = _arrival_excess(t, q, geom, branch)
     if np.any(excess <= 0.0):
         i = int(np.argmax(excess <= 0.0))
-        raise DomainError(f"t={t} is not past the fictitious arrival "
-                          f"{_t0_zero(geom, branch) + rise[i]} at q={q[i]}")
+        raise DomainError(f"t={float(t[i])} is not past the fictitious "
+                          f"arrival {_t0_zero(geom, branch) + rise[i]} at "
+                          f"q={q[i]}")
     return tuple(v.reshape(shape)
                  for v in _contour(t, q, excess, rise, p0, geom, branch))
 
 
-def _contour(t: float, q, excess, rise, p0, geom: Geometry,
-             branch: WaveBranch):
-    """Contour points of both pieces at one t and flat q, from the excess.
+def _contour(t, q, excess, rise, p0, geom: Geometry, branch: WaveBranch):
+    """Contour points of both pieces at flat t and q, from the excess.
 
     Returns (gamma, dgamma/dt, kappa_top, kappa_bottom), the kappas on the
     physical branch, so that callers need not take those square roots
@@ -547,13 +551,13 @@ def _contour(t: float, q, excess, rise, p0, geom: Geometry,
     curv = ca + cb
     delta = np.sqrt(2.0 * np.abs(excess) / curv)
     delta = np.where(head, 1j * delta, delta)
-    delta = delta * (1.0 - 0.5j * p0 * delta
-                     * (ca / (ka0 * ka0) + cb / (kb0 * kb0)) / curv)
-    g_seed = -1j * p0 + delta
+    d_seed = delta * (1.0 - 0.5j * p0 * delta
+                      * (ca / (ka0 * ka0) + cb / (kb0 * kb0)) / curv)
+    g_seed = -1j * p0 + d_seed
 
-    tol = _GAMMA_TOL * (1.0 + abs(t))
+    tol = _GAMMA_TOL * (1.0 + np.abs(t))
     ka, kb = kappas(g_seed)
-    delta = _contour_steps(delta, ka - ka0, kb - kb0, p0, ka0, kb0,
+    delta = _contour_steps(d_seed, ka - ka0, kb - kb0, p0, ka0, kb0,
                            d_top, d_bot, x, excess, tol)
     g = delta - 1j * p0
     ka, kb = kappas(g)
@@ -577,7 +581,8 @@ def _contour(t: float, q, excess, rise, p0, geom: Geometry,
                     d_top * branch_sqrt(float(sa2[i]) + gc * gc)
                     + d_bot * branch_sqrt(float(sb2[i]) + gc * gc)
                     + 1j * gc * x),
-                t, complex(g_seed[i]), tol, float(q[i]), branch)
+                float(t[i]), complex(g_seed[i]), abs(complex(d_seed[i])),
+                float(tol[i]), float(q[i]), branch)
         ka, kb = kappas(g)
 
     return g, 1.0 / t_slope(g, ka, kb), ka, kb
@@ -595,10 +600,15 @@ def _contour_steps(delta, ua, ub, p0, ka0, kb0, d_top, d_bot, x, excess, tol):
     increments at fixed delta, h = (u^2 + w)/(2*kappa), takes the residual
     r = d_top*h_a + d_bot*h_b + i*x*delta - excess in seconds, steps delta
     by -r/T'(gamma) and moves each increment on to h - (gamma/kappa)*step.
-    The steps stop once every |r| is below tol, the last one taken past
-    that; after _CONTOUR_STEPS the caller judges the points.  Returns delta.
+    Each node stops on its own residual: it steps while its |r| at the
+    start of a step is above tol (tol is per node or shared), takes the
+    step on which |r| first meets tol and then freezes, so that its delta
+    depends on its own inputs alone and not on the other nodes of the
+    batch.  After _CONTOUR_STEPS the caller judges the points.  Returns
+    delta.
     """
     ix, ip = 1j * x, 1j * p0
+    live = True
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_CONTOUR_STEPS):
             g = delta - ip
@@ -609,21 +619,25 @@ def _contour_steps(delta, ua, ub, p0, ka0, kb0, d_top, d_bot, x, excess, tol):
             r = d_top * ha + d_bot * hb + ix * delta - excess
             step = r / (g * (d_top * ia + d_bot * ib) + ix)
             g_step = g * step
-            delta = delta - step
-            ua = ha - g_step * ia
-            ub = hb - g_step * ib
-            if not np.any(np.abs(r) > tol):
+            delta = np.where(live, delta - step, delta)
+            ua = np.where(live, ha - g_step * ia, ua)
+            ub = np.where(live, hb - g_step * ib, ub)
+            live = live & (np.abs(r) > tol)
+            if not np.any(live):
                 break
     return delta
 
 
-def _plane_search(t_scalar, t, center, tol, q, branch):
+def _plane_search(t_scalar, t, center, seed_step, tol, q, branch):
     """Shrinking 3x3 grid search for |T(gamma) - t| in the complex plane.
 
     Fallback when Newton stalls; slow but only visits isolated points.
-    t_scalar maps a complex scalar to the travel time.
+    t_scalar maps a complex scalar to the travel time.  center is the
+    saddle-point seed and seed_step its distance from the saddle; the grid
+    starts at half that span, so that its first moves cannot jump past the
+    saddle onto the other side of the contour.
     """
-    span = max(abs(center), 1e-6) * 0.5
+    span = 0.5 * max(seed_step, np.finfo(float).eps * abs(center))
     best = complex(center)
     best_val = abs(t_scalar(best) - t)
     for _ in range(220):
@@ -667,10 +681,11 @@ def upsilon(t: float, q: float, geom: Geometry, branch: WaveBranch,
                         residual=float(res))
 
 
-def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch):
-    """Head-segment points for one time t and an array of q, with d/dt.
+def _upsilon_vec(t, q, geom: Geometry, branch: WaveBranch):
+    """Head-segment points at an array of q, with d/dt.
 
-    The same solve as _gamma_vec (_contour) at the negative excess, which
+    t is one time for all nodes or one per node, as in _gamma_vec.  The
+    same solve as _gamma_vec (_contour) at the negative excess, which
     lands on -i*zeta between the fastest branch point and the saddle, and
     the same 4-tuple.  Next to q0 the excess can round to 0, which would
     seed on the saddle itself, where T' = 0; it is capped at
@@ -678,16 +693,15 @@ def _upsilon_vec(t: float, q, geom: Geometry, branch: WaveBranch):
     imaginary axis, or past the saddle (Im(dupsilon/dt) >= 0, where T
     stops increasing in zeta), raises ConvergenceFailure.
     """
-    t = float(t)
-    q, shape = _flat_q(q)
+    t, q, shape = _flat_tq(t, q)
     excess, rise, p0 = _arrival_excess(t, q, geom, branch)
     excess = np.minimum(excess, -np.finfo(float).eps
-                        * abs(t - _t0_zero(geom, branch)))
+                        * np.abs(t - _t0_zero(geom, branch)))
     ups, dt, ka, kb = _contour(t, q, excess, rise, p0, geom, branch)
     bad = (ups.real != 0.0) | ~(dt.imag < 0.0)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ConvergenceFailure(t, float(q[i]), branch.kind.value,
+        raise ConvergenceFailure(float(t[i]), float(q[i]), branch.kind.value,
                                  f"head point {ups[i]} is off the imaginary "
                                  "axis or past the saddle")
     return tuple(v.reshape(shape) for v in (ups, dt, ka, kb))

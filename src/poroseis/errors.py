@@ -5,6 +5,13 @@ class PoroseisError(Exception):
     """Base class for all package-specific errors."""
 
 
+def _plain(value):
+    """value as a plain Python number where it is a numpy scalar, so that a
+    message reads q=1e-05, not q=np.float64(1e-05)."""
+    item = getattr(value, "item", None)
+    return item() if callable(item) else value
+
+
 class NonPhysical(PoroseisError):
     """Material parameters violate a physical admissibility condition."""
 
@@ -18,8 +25,8 @@ class SingularSystem(PoroseisError):
     """
 
     def __init__(self, q_x, q_y, detail=""):
-        self.q_x = q_x
-        self.q_y = q_y
+        self.q_x = q_x = _plain(q_x)
+        self.q_y = q_y = _plain(q_y)
         msg = f"interface system singular at q_x={q_x!r}, q_y={q_y!r}"
         if detail:
             msg += f" ({detail})"
@@ -33,8 +40,8 @@ class ConvergenceFailure(PoroseisError):
     """
 
     def __init__(self, t, q, branch, detail=""):
-        self.t = t
-        self.q = q
+        self.t = t = _plain(t)
+        self.q = q = _plain(q)
         self.branch = branch
         msg = f"contour solve failed at t={t!r}, q={q!r}, branch={branch}"
         if detail:

@@ -17,17 +17,19 @@ its windows: a quiet sample, one within 1e-12 * t of the onset included, is
 exactly 0; a head sample integrates the head window (0, q1); a volume
 sample the volume window (0, q0); a mixed sample both, the head window
 shrunk to (q0, q1).  All samples of a trace are classified and their
-windows inverted at once; each window's quadrature nodes are then
-evaluated together in one pass.  No state passes between samples, so each
-sample's value depends on its own time alone.  The fluid-side pressure is
-carried by its first time integral xi (the natural primitive produced by
-the contour construction); its displacements and the porous-side
-displacements are ordinary Green functions ready for wavelet convolution.
+windows inverted at once.  The nodes of consecutive windows of one rule
+are then evaluated in chunks of about _CHUNK_NODES, one contour, interface
+and gate pass per chunk with one time per node.  No state passes between
+nodes, so each sample's value depends on its own time alone, and a chunk
+gives the same bits as its windows taken one at a time.  The fluid-side
+pressure is carried by its first time integral xi (the natural primitive
+produced by the contour construction); its displacements and the
+porous-side displacements are ordinary Green functions ready for wavelet
+convolution.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +45,11 @@ from .media import AcousticMedium, PoroelasticDerived
 
 # Samples closer to a regime edge than this fraction of t are nudged off it.
 _EDGE_BAND = 1e-12
+
+# Node budget of one chunk of windows in the time loop (at least one
+# window): one contour, interface and gate pass per chunk.  Chosen from a
+# measured sweep of run time against peak memory (CHANGES.md).
+_CHUNK_NODES = 4096
 
 _QUIET, _HEAD, _MIXED, _VOLUME = range(4)
 _REGIME_NAMES = ("quiet", "head", "mixed", "volume")
@@ -130,35 +137,62 @@ def quadrature(integrand, a: float, b: float, cfg: QuadratureConfig,
     1/sqrt(q^2 - a^2), "regular" otherwise.  In sin-substitution mode the
     marked windows are transformed before applying the midpoint rule.  The
     integrand may return one value per node or a row of channel values.
+    The time loop integrates chunks of windows with the same nodes,
+    weights and sums (_window_rule, _window_sums).
     """
     if not b > a:
         return 0.0
-    n = cfg.n
-    if cfg.sin_substitution and endpoint == "upper_sqrt":
-        th_lo = math.asin(min(max(a / b, 0.0), 1.0))
-        h = (0.5 * math.pi - th_lo) / n
-        theta = th_lo + (np.arange(n) + 0.5) * h
-        nodes = b * np.sin(theta)
-        weights = b * np.cos(theta) * h
-    elif cfg.sin_substitution and endpoint == "lower_sqrt":
-        u_hi = math.sqrt(b * b - a * a)
-        h = u_hi / n
-        u = (np.arange(n) + 0.5) * h
-        nodes = np.sqrt(a * a + u * u)
-        weights = (u / nodes) * h
-    else:
-        h = (b - a) / n
-        nodes = a + (np.arange(n) + 0.5) * h
-        weights = np.full(n, h)
+    nodes, weights = _window_rule(np.array([a], dtype=float),
+                                  np.array([b], dtype=float), cfg, endpoint)
+    values = np.asarray(integrand(nodes[0]))
+    k = _non_finite_node(values)
+    if k is not None:
+        raise NonFiniteIntegrand(float(nodes[0, k]), values[k])
+    sums = _window_sums(weights, values)[0]
+    return float(sums[0]) if values.ndim == 1 else sums
 
-    values = np.asarray(integrand(nodes))
-    if not np.all(np.isfinite(values)):
-        bad = ~np.all(np.isfinite(values.reshape(n, -1)), axis=1)
-        i = int(np.argmax(bad))
-        raise NonFiniteIntegrand(float(nodes[i]), values[i])
-    if values.ndim == 1:
-        return float(np.sum(weights * values))
-    return np.tensordot(weights, values, axes=(0, 0))
+
+def _window_rule(a, b, cfg: QuadratureConfig, endpoint: str):
+    """Nodes and weights of the windows (a[j], b[j]), one row per window.
+
+    The rule of quadrature(), taken for many windows at once; every row
+    depends on its own bounds alone.
+    """
+    a, b = a[:, None], b[:, None]
+    mid = np.arange(cfg.n) + 0.5
+    if cfg.sin_substitution and endpoint == "upper_sqrt":
+        th_lo = np.arcsin(np.clip(a / b, 0.0, 1.0))
+        h = (0.5 * math.pi - th_lo) / cfg.n
+        theta = th_lo + mid * h
+        return b * np.sin(theta), b * np.cos(theta) * h
+    if cfg.sin_substitution and endpoint == "lower_sqrt":
+        h = np.sqrt(b * b - a * a) / cfg.n
+        u = mid * h
+        nodes = np.sqrt(a * a + u * u)
+        return nodes, (u / nodes) * h
+    h = (b - a) / cfg.n
+    return a + mid * h, np.repeat(h, cfg.n, axis=1)
+
+
+def _non_finite_node(values):
+    """Index of the first node whose value or channel row is not finite,
+    or None."""
+    if np.all(np.isfinite(values)):
+        return None
+    finite = np.isfinite(values.reshape(values.shape[0], -1))
+    return int(np.argmax(~np.all(finite, axis=1)))
+
+
+def _window_sums(weights, values):
+    """Weighted node sums of each window: one channel row per window.
+
+    weights holds one row of n per window and values one value or channel
+    row per node, window after window.  One batched product contracts each
+    window's n nodes, in the same order whatever the number of windows.
+    """
+    windows, n = weights.shape
+    return np.matmul(weights[:, None, :],
+                     values.reshape(windows, n, -1))[:, 0]
 
 
 def _channel_weights(branch: WaveBranch, model: HalfspaceModel, point, qq,
@@ -293,10 +327,16 @@ def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     _classify's regime is the one decision per sample: quiet samples,
     those within the onset band included, stay exactly 0, and the others
     integrate the windows _windows gives their regime.  The windows of all
-    samples are found at once; each window's nodes are then evaluated in
-    one pass.  No state passes from one window to the next, so every sample
-    is a function of its own time alone.  A failure names the sample it
-    happened at, its regime and the branch.
+    samples are found at once.  Consecutive non-empty windows of one rule
+    are then joined into chunks of at most _CHUNK_NODES nodes (at least
+    one window), and each chunk takes one contour solve, one interface
+    solve, one gate check and one weighted sum, with one t per node.  No
+    state passes between nodes, so a chunk gives its windows' values bit
+    for bit as quadrature() does window by window.  A failure names the
+    sample it happened at, its regime and the branch: a non-finite node k
+    of a chunk belongs to its window k // n, and an exception raised
+    inside a chunk's solves is raised again from its own window, the
+    chunk's windows taken one at a time.
     """
     arr = arrival_times(geom, branch, model.v_max)
     regime, t_use = _classify(t_grid, arr)
@@ -308,14 +348,32 @@ def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
         if hit.size:
             raise _name_sample(exc, hit[0], t_grid, regime, branch)
         raise
+    n = cfg.n
+    per_chunk = max(1, _CHUNK_NODES // n)
     for integrand, endpoint, rows, a, b in windows:
-        for i, lo, hi in zip(rows, a, b):
-            values = functools.partial(integrand, model, geom, branch,
-                                       t_use[i])
+        live = b > a  # an empty window integrates to 0
+        rows, a, b = rows[live], a[live], b[live]
+        for start in range(0, rows.size, per_chunk):
+            part = slice(start, start + per_chunk)
+            nodes, weights = _window_rule(a[part], b[part], cfg, endpoint)
+            t_nodes = np.repeat(t_use[rows[part]], n).reshape(nodes.shape)
             try:
-                out[i] += quadrature(values, lo, hi, cfg, endpoint)
-            except Exception as exc:
-                raise _name_sample(exc, i, t_grid, regime, branch)
+                values = integrand(model, geom, branch, t_nodes.ravel(),
+                                   nodes.ravel())
+            except Exception:
+                # Failure path: the same error from its own window.
+                for i, t_w, q_w in zip(rows[part], t_nodes, nodes):
+                    try:
+                        integrand(model, geom, branch, t_w, q_w)
+                    except Exception as exc:
+                        raise _name_sample(exc, i, t_grid, regime, branch)
+                raise
+            k = _non_finite_node(values)
+            if k is not None:
+                raise _name_sample(
+                    NonFiniteIntegrand(float(nodes.flat[k]), values[k]),
+                    rows[part][k // n], t_grid, regime, branch)
+            out[rows[part]] += _window_sums(weights, values)
     out /= math.pi ** 2
     if not np.all(np.isfinite(out)):
         i = int(np.argmax(~np.all(np.isfinite(out), axis=1)))

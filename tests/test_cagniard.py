@@ -379,18 +379,22 @@ def _nan_steps(delta, *args):
 
 def _head_cases(branches, porous_geom, wide_geom, v_max, n):
     """(geom, branch, t, q) of head-window nodes: the fixture P-slow mixed
-    windows at four times between t0 and t_h2 (lower_sqrt nodes) and the
-    wide S head windows at three times between t_h1 and t0 (midpoint
-    nodes)."""
-    cases = []
-    branch = branches[WaveKind.TRANSMITTED_PS]
-    arr = arrival_times(porous_geom, branch, v_max)
-    for frac in (1e-3, 0.1, 0.5, 0.9):
+    windows at four times between t0 and t_h2 and the wide S mixed window
+    at 10 % of the way (lower_sqrt nodes; with no step taken, a search
+    whose grid started at half of |seed| rather than of its distance from
+    the saddle jumped past the saddle there), and the wide S head windows
+    at three times between t_h1 and t0 (midpoint nodes)."""
+    def mixed(geom, branch, frac):
+        arr = arrival_times(geom, branch, v_max)
         t = arr.t0 + frac * (arr.t_h2 - arr.t0)
-        a, b = head_window(t, arr, porous_geom, branch, v_max)
+        a, b = head_window(t, arr, geom, branch, v_max)
         u = (np.arange(n) + 0.5) * (math.sqrt(b * b - a * a) / n)
-        cases.append((porous_geom, branch, t, np.sqrt(a * a + u * u)))
+        return geom, branch, t, np.sqrt(a * a + u * u)
+
+    cases = [mixed(porous_geom, branches[WaveKind.TRANSMITTED_PS], frac)
+             for frac in (1e-3, 0.1, 0.5, 0.9)]
     branch = branches[WaveKind.TRANSMITTED_S]
+    cases.append(mixed(wide_geom, branch, 0.1))
     arr = arrival_times(wide_geom, branch, v_max)
     for frac in (0.1, 0.5, 0.9):
         t = arr.t_h1 + frac * (arr.t0 - arr.t_h1)
@@ -429,6 +433,42 @@ def test_contour_fallback_solves_the_contour(branches, porous_geom, wide_geom,
         assert np.max(np.abs(safe[0] - fast[0]) / np.abs(fast[0])) <= 1e-7
         for k_safe, k_fast in zip(safe[2:], fast[2:]):
             assert np.max(np.abs(k_safe - k_fast) / np.abs(k_fast)) <= 1e-7
+
+
+def test_contour_nodes_are_independent_of_their_batch(
+        acoustic, branches, porous_geom, wide_geom, model):
+    """The nodes of two windows at different times, passed to _gamma_vec
+    or _upsilon_vec in one call with one t per node, give bit for bit what
+    the two windows give on their own: every node stops on its own
+    residual, so the time loop may join windows into chunks.  Volume and
+    head pieces, transmitted and reflected branches."""
+    reflected = reflected_branch(acoustic)
+    far = Geometry(h=500.0, x=2500.0, z=100.0)  # post-critical reflection
+    pairs = []
+    for branch in (*branches.values(), reflected):
+        geom = far if branch is reflected else porous_geom
+        t0 = fictitious_arrival(0.0, geom, branch)
+        pairs.append((_gamma_vec, geom, branch,
+                      [(t, _sin_nodes(t, geom, branch, n=16))
+                       for t in (t0 + 3e-3, t0 + 0.2)]))
+    head = _head_cases(branches, porous_geom, wide_geom, model.v_max, 16)
+    pairs.append((_upsilon_vec, *head[0][:2], [c[2:] for c in head[:2]]))
+    pairs.append((_upsilon_vec, *head[-1][:2], [c[2:] for c in head[-2:]]))
+    arr = arrival_times(far, reflected, model.v_max)
+    windows = []
+    for t in (arr.t_h1 + 0.3 * (arr.t0 - arr.t_h1),
+              arr.t0 + 0.5 * (arr.t_h2 - arr.t0)):
+        a, b = head_window(t, arr, far, reflected, model.v_max)
+        windows.append((t, a + (np.arange(16) + 0.5) * ((b - a) / 16)))
+    pairs.append((_upsilon_vec, far, reflected, windows))
+    for solve, geom, branch, ((t1, q1), (t2, q2)) in pairs:
+        apart = [np.concatenate(v) for v in zip(solve(t1, q1, geom, branch),
+                                                solve(t2, q2, geom, branch))]
+        t = np.concatenate([np.full(q1.size, t1), np.full(q2.size, t2)])
+        joint = solve(t, np.concatenate([q1, q2]), geom, branch)
+        for v_joint, v_apart in zip(joint, apart):
+            assert v_joint.tobytes() == v_apart.tobytes(), \
+                (solve.__name__, branch.kind)
 
 
 def test_unsolved_contour_names_its_node(branches, porous_geom, monkeypatch):

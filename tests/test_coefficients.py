@@ -213,7 +213,8 @@ def test_closed_form_gates(solve, bad, fragment):
         with pytest.raises(SingularSystem, match=fragment) as err:
             solve(entries, Q_X, Q_Y)
     assert err.value.q_x == Q_X[1] and err.value.q_y == Q_Y[1]
-    assert f"q_x={Q_X[1]!r}, q_y={Q_Y[1]!r}" in str(err.value)
+    assert f"q_x={complex(Q_X[1])!r}, q_y={float(Q_Y[1])!r}" \
+        in str(err.value)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan],
@@ -418,12 +419,13 @@ def test_fixture_traces_never_reach_the_full_gates(model, fluid_receiver,
                                                    monkeypatch):
     """Every interface batch of the fixture receivers at n = 64, across the
     reflected, transmitted, head and mixed windows, is certified by the two
-    inequalities alone."""
+    inequalities alone.  The time loop solves chunks of windows, so the
+    coverage is counted in systems: more than 500 windows' worth."""
     calls = {"certified": 0, "full": 0}
     certify = coefficients._certified
 
     def counted(e, x):
-        calls["certified"] += 1
+        calls["certified"] += np.size(e.b1)
         return certify(e, x)
 
     def full(*args):
@@ -434,5 +436,5 @@ def test_fixture_traces_never_reach_the_full_gates(model, fluid_receiver,
     t = np.arange(0.3, 1.2, 1.0 / 400.0)
     for receiver in (fluid_receiver, porous_receiver):
         green.green_trace(model, receiver, t, QuadratureConfig(n=64))
-    assert calls["certified"] > 500
+    assert calls["certified"] > 500 * 64
     assert calls["full"] == 0

@@ -292,17 +292,19 @@ def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
 
 
 def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
-    """The batched time loop gives the per-sample traces bit for bit, on
+    """The chunked time loop gives the per-sample traces bit for bit, on
     volume, head and mixed windows of the reflected and transmitted
-    branches and inside the edge bands at the onset, t0 and t_h2, one
-    window per interface solve; the engine solves in closed form, never
-    calls the LAPACK solve and passes every solve through the shared
-    singularity gates once."""
+    branches and inside the edge bands at the onset, t0 and t_h2, with a
+    node budget of three windows, so that chunk boundaries fall inside
+    each group of windows and between the two windows of mixed samples.
+    Every node of the per-window loop is solved and gated exactly once,
+    and chunks do join windows; the engine solves in closed form and never
+    calls the LAPACK solve."""
     from poroseis import coefficients, green
     from poroseis.cagniard import (arrival_times, reflected_branch,
                                    transmitted_branches)
 
-    batches = []
+    points = []
     gates = []
     lapack_calls = []
     solve = green._solve_structured
@@ -310,7 +312,7 @@ def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
     lapack = coefficients._solve_batch
 
     def spy(entries, q_x, q_y):
-        batches.append(np.size(q_x))
+        points.append(np.array(q_x))
         return solve(entries, q_x, q_y)
 
     def gate_spy(*args):
@@ -326,6 +328,7 @@ def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
     for module in (coefficients, green):
         monkeypatch.setattr(module, "_solve_batch", lapack_spy, raising=False)
     cfg = QuadratureConfig(n=64)
+    monkeypatch.setattr(green, "_CHUNK_NODES", 3 * cfg.n + 10)
     wide = Receiver(x=800.0, y=0.0, z=-200.0)
     branches = transmitted_branches(model.acoustic, model.poro)
     reflected = reflected_branch(model.acoustic)
@@ -344,14 +347,20 @@ def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
                         for s in (-5e-13, 5e-13)]
         t = np.sort(np.concatenate([np.linspace(0.98 * onset, 1.3 * onset,
                                                 120), in_band]))
+        points.clear()
         expect, regime = _per_sample_trace(model, geom, branch, t, cfg,
                                            n_channels)
+        per_window = np.concatenate(points)
+        assert {p.size for p in points} == {cfg.n}
         seen |= {(branch.kind, green._REGIME_NAMES[r]) for r in regime}
-        batches.clear()
+        points.clear()
         gates.clear()
         got = green._contour_trace(model, geom, branch, t, cfg, n_channels)
-        assert set(batches) == {cfg.n}
-        assert gates == batches
+        chunked = np.concatenate(points)
+        assert max(p.size for p in points) == 3 * cfg.n
+        assert gates == [p.size for p in points]
+        assert np.sort_complex(chunked).tobytes() \
+            == np.sort_complex(per_window).tobytes()
         assert not lapack_calls
         assert got.tobytes() == expect.tobytes(), (receiver, branch.kind)
     assert {(WaveKind.REFLECTED, "head"), (WaveKind.REFLECTED, "mixed"),
@@ -469,6 +478,30 @@ def test_window_failure_names_its_sample(model, porous_receiver, monkeypatch):
                           QuadratureConfig(n=64))
     assert f"[t={target}, regime=volume, branch=transmitted_pf]" \
         in str(info.value)
+
+
+def test_chunk_solve_failure_names_its_sample(model, porous_receiver,
+                                             monkeypatch):
+    """A contour solve that raises for the nodes of one sample, inside a
+    chunk of many windows, is reported with the t, regime and branch of
+    that sample."""
+    from poroseis import cagniard
+
+    t = np.linspace(0.5, 0.6, 80)
+    target = float(t[45])
+    solve = cagniard._gamma_vec
+
+    def failing(t_arr, q, *args):
+        if np.any(np.asarray(t_arr) == target):
+            raise ConvergenceFailure(target, float(q[0]), "stub", "stub")
+        return solve(t_arr, q, *args)
+
+    monkeypatch.setattr(cagniard, "_gamma_vec", failing)
+    with pytest.raises(ConvergenceFailure) as info:
+        transmitted_trace(model, porous_receiver, WaveKind.TRANSMITTED_PF, t,
+                          QuadratureConfig(n=64))
+    assert str(info.value).endswith(
+        f"[t={target}, regime=volume, branch=transmitted_pf]")
 
 
 def test_window_inversion_failure_names_its_sample(model, porous_receiver,
