@@ -8,7 +8,7 @@ seismograms and an independent Laplace-domain oracle for end-to-end
 verification.
 """
 
-from .branch_math import branch_sqrt, fictitious_velocity, kappa
+from .branch_math import branch_sqrt, kappa
 from .cagniard import (ArrivalTimes, ContourPoint, Geometry, WaveBranch,
                        WaveKind, arrival_times, fictitious_arrival, gamma,
                        q0_of_t, q1_of_t, snell_time, upsilon)

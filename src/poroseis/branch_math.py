@@ -35,20 +35,6 @@ def branch_sqrt(q):
     return out
 
 
-def fictitious_velocity(v: float, q):
-    """Velocity of the in-plane problem at transverse slowness q.
-
-    Folding the transverse wavenumber direction into the vertical slowness
-    turns the 3-D problem at transverse slowness q into a 2-D problem whose
-    medium velocities are reduced to v/sqrt(1 + v^2 q^2).
-    """
-    q = np.asarray(q, dtype=float)
-    out = v / np.sqrt(1.0 + (v * v) * (q * q))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def kappa(v: float, q_x, q_y):
     """Vertical slowness sqrt(1/v^2 + q_x^2 + q_y^2) on the physical branch."""
     q_x = np.asarray(q_x, dtype=complex)

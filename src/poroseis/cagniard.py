@@ -244,25 +244,34 @@ def _xi_zero(q, geom: Geometry, branch: WaveBranch):
     return xi, sa, sb
 
 
+@functools.lru_cache(maxsize=256)
+def _ray_zero(geom: Geometry, branch: WaveBranch):
+    """(xi0, s_a0, s_b0, l_a0, l_b0) of the stationary ray at q = 0, solved
+    once per geometry and branch for all its readers."""
+    xi, sa, sb = (float(v[0]) for v in _xi_zero(np.zeros(1), geom, branch))
+    return (xi, sa, sb, float(np.hypot(xi, geom.h)),
+            float(np.hypot(geom.x - xi, geom.z)))
+
+
 def _stationary_ray(q, geom: Geometry, branch: WaveBranch):
     """(rise, dt0/dq, p0) of the stationary broken ray, vectorized over q.
 
-    One _xi_zero solve at q and at 0 gives the crossings xi, xi0 and the
-    legs l_a = hypot(xi, h), l_b = hypot(x - xi, z), l_a0, l_b0.  The rise
-    t0(q) - t0(0) of t0 = l_a*s_a + l_b*s_b is formed leg by leg, with no
-    term that cancels: l_a*q^2/(s_a + s_a0) + l_b*q^2/(s_b + s_b0) plus the
-    crossing's shift xi - xi0 (0 on the mirrored reflected path) times
+    One _xi_zero solve at q gives the crossings xi and the legs
+    l_a = hypot(xi, h), l_b = hypot(x - xi, z); xi0, l_a0 and l_b0 at q = 0
+    are _ray_zero's.  The rise t0(q) - t0(0) of t0 = l_a*s_a + l_b*s_b is
+    formed leg by leg, with no term that cancels: l_a*q^2/(s_a + s_a0) +
+    l_b*q^2/(s_b + s_b0) plus the crossing's shift xi - xi0 (0 on the
+    mirrored reflected path) times
     s_a0*(xi + xi0)/(l_a + l_a0) - s_b0*(2x - xi - xi0)/(l_b + l_b0), a
     divided difference of the slope that stationarity makes first order.
     dt0/dq = q*(l_a/s_a + l_b/s_b) (the crossing is stationary, so it adds
     no term) and p0 = xi*s_a/l_a.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    xi, sa, sb = _xi_zero(np.append(q, 0.0), geom, branch)
+    xi, sa, sb = _xi_zero(q, geom, branch)
     la = np.hypot(xi, geom.h)
     lb = np.hypot(geom.x - xi, geom.z)
-    (xi, xi0), (sa, sa0), (sb, sb0), (la, la0), (lb, lb0) = (
-        (v[:-1], v[-1]) for v in (xi, sa, sb, la, lb))
+    xi0, sa0, sb0, la0, lb0 = _ray_zero(geom, branch)
     rise = la * (q * q) / (sa + sa0) + lb * (q * q) / (sb + sb0)
     if geom.x > 0.0:  # at zero offset both crossings are 0
         rise = rise + (xi - xi0) * (sa0 * (xi + xi0) / (la + la0) - sb0
@@ -270,11 +279,10 @@ def _stationary_ray(q, geom: Geometry, branch: WaveBranch):
     return rise, q * (la / sa + lb / sb), xi * sa / la
 
 
-@functools.lru_cache(maxsize=256)
 def _t0_zero(geom: Geometry, branch: WaveBranch) -> float:
-    """t0(0), formed once per geometry and branch for all its readers."""
-    xi, sa, sb = (float(v[0]) for v in _xi_zero(np.zeros(1), geom, branch))
-    return float(np.hypot(xi, geom.h) * sa + np.hypot(geom.x - xi, geom.z) * sb)
+    """t0(0) = l_a0*s_a0 + l_b0*s_b0 of the cached ray at q = 0."""
+    _, sa0, sb0, la0, lb0 = _ray_zero(geom, branch)
+    return la0 * sa0 + lb0 * sb0
 
 
 def _t0_vec(q, geom: Geometry, branch: WaveBranch):
@@ -319,7 +327,8 @@ def arrival_times(geom: Geometry, branch: WaveBranch, v_max: float) -> ArrivalTi
     """
     d_top, d_bot = _depths(geom, branch)
     t0 = _t0_zero(geom, branch)
-    p0 = float(_p0_vec(np.zeros(1), geom, branch)[0])
+    xi0, sa0, _, la0, _ = _ray_zero(geom, branch)
+    p0 = xi0 * sa0 / la0
     nan = float("nan")
     if geom.x < _MIN_HEAD_OFFSET * (d_top + d_bot) or p0 <= 1.0 / v_max:
         return ArrivalTimes(t0=t0, head_exists=False,

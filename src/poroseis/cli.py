@@ -367,14 +367,21 @@ def _keep_freed_memory() -> None:
         pass
 
 
+def _name_receiver(exc: PoroseisError, i: int) -> PoroseisError:
+    """exc, its type and attributes kept, with ``receiver i: `` in front of
+    its message (as green._name_sample names samples)."""
+    exc.args = (f"receiver {i}: {exc}",) + exc.args[1:]
+    return exc
+
+
 def run_compute(setup: RunSetup, threads: int = 1, quiet: bool = False) -> int:
     """Compute and write every receiver's traces; return the exit code.
 
     Receivers are computed one after another, and files are written only
     once every receiver has computed, so a numerical failure leaves no
-    trace file.  ``threads`` is accepted only as 1, for callers that still
-    pass it.  The process keeps freed memory from here on
-    (``_keep_freed_memory``).
+    trace file; it is printed with its receiver's number.  ``threads`` is
+    accepted only as 1, for callers that still pass it.  The process keeps
+    freed memory from here on (``_keep_freed_memory``).
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
@@ -384,12 +391,12 @@ def run_compute(setup: RunSetup, threads: int = 1, quiet: bool = False) -> int:
     t = _time_grid(setup)
     results = []
     try:
-        for rec in setup.receivers:
+        for i, rec in enumerate(setup.receivers, start=1):
             green = green_trace(setup.model, rec, t, setup.quad)
             results.append((green, convolve(green, setup.wavelet, setup.dt,
                                             gain=setup.gain)))
     except PoroseisError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_name_receiver(exc, i)}", file=sys.stderr)
         return 3
 
     ext = setup.out_format
@@ -412,7 +419,8 @@ def verify_rows(setup: RunSetup) -> tuple[list[tuple], list[NotConverged]]:
 
     Each (receiver, s, branch) is traced once, at the nodes of
     ``laplace_nodes``, whose weights give the transform.  A trace failure
-    raises PoroseisError naming the receiver, and no s value ConfigError.
+    raises its own error with the receiver named in front of its message,
+    and no s value ConfigError.
     """
     if not setup.verify_s:
         raise ConfigError("verify.s_values_per_s is empty")
@@ -432,7 +440,7 @@ def verify_rows(setup: RunSetup) -> tuple[list[tuple], list[NotConverged]]:
                                                setup.quad)
                         channels = (ch.u_x, ch.u_z)
                 except PoroseisError as exc:
-                    raise PoroseisError(f"receiver {i}: {exc}") from exc
+                    raise _name_receiver(exc, i)
                 for name, values in zip(_VERIFY_CHANNELS[kind], channels):
                     trace_val = float(w @ values)
                     try:

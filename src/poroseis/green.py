@@ -16,16 +16,17 @@ Each sample's regime, taken once from the arrival-time structure, decides
 its windows: a quiet sample, one within 1e-12 * t of the onset included, is
 exactly 0; a head sample integrates the head window (0, q1); a volume
 sample the volume window (0, q0); a mixed sample both, the head window
-shrunk to (q0, q1).  All samples of a trace are classified and their
-windows inverted at once.  The nodes of consecutive windows of one rule
-are then evaluated in chunks of about _CHUNK_NODES, one contour, interface
-and gate pass per chunk with one time per node.  No state passes between
-nodes, so each sample's value depends on its own time alone, and a chunk
-gives the same bits as its windows taken one at a time.  The fluid-side
-pressure is carried by its first time integral xi (the natural primitive
-produced by the contour construction); its displacements and the
-porous-side displacements are ordinary Green functions ready for wavelet
-convolution.
+shrunk to (q0, q1).  Every live sample is evaluated at its own time, also
+next to t0 and t_h2, and every head window takes one rule.  All samples of
+a trace are classified and their windows inverted at once.  The nodes of
+consecutive windows of one rule are then evaluated in chunks of about
+_CHUNK_NODES, one contour, interface and gate pass per chunk with one time
+per node.  No state passes between nodes, so each sample's value depends on
+its own time alone, and a chunk gives the same bits as its windows taken
+one at a time.  The fluid-side pressure is carried by its first time
+integral xi (the natural primitive produced by the contour construction);
+its displacements and the porous-side displacements are ordinary Green
+functions ready for wavelet convolution.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .coefficients import _solve_structured, _structural_entries
 from .errors import DomainError, NonFiniteIntegrand, PoroseisError
 from .media import AcousticMedium, PoroelasticDerived
 
-# Samples closer to a regime edge than this fraction of t are nudged off it.
+# Quiet band: samples up to this fraction of t past the onset are exactly 0.
 _EDGE_BAND = 1e-12
 
 # Node budget of one chunk of windows in the time loop (at least one
@@ -272,50 +273,43 @@ def _head_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     return _contour_values(model, branch, ups, dups, q, kappas)
 
 
-def _classify(t: np.ndarray, arr: ArrivalTimes) -> tuple[np.ndarray, np.ndarray]:
-    """Regime of every sample, nudging samples off window edges.
+def _classify(t: np.ndarray, arr: ArrivalTimes) -> np.ndarray:
+    """Regime code (_QUIET, _HEAD, _MIXED, _VOLUME) of every sample.
 
-    Returns the regime codes (_QUIET, _HEAD, _MIXED, _VOLUME) and the
-    (possibly nudged) evaluation times.  Samples within _EDGE_BAND of an
-    onset (t_h1, or t0 without a head segment) are quiet.  Samples within
-    the band of t0 or t_h2 are moved to 2 * band before that edge, so they
-    take the head or mixed windows of a time just short of it.
+    Quiet up to the onset plus _EDGE_BAND (t_h1, or t0 without a head
+    segment), head up to t0, mixed up to t_h2 and volume after.  Every
+    live sample is evaluated at its own time.
     """
     band = _EDGE_BAND * np.abs(t)
     if not arr.head_exists:
-        return np.where(t <= arr.t0 + band, _QUIET, _VOLUME), t.copy()
-    edges = [t <= arr.t_h1 + band, t <= arr.t0 - band, t <= arr.t0 + band,
-             t <= arr.t_h2 - band, t <= arr.t_h2 + band]
-    regime = np.select(edges, [_QUIET, _HEAD, _HEAD, _MIXED, _MIXED], _VOLUME)
-    t_use = np.select(edges, [t, t, arr.t0 - 2.0 * band, t,
-                              arr.t_h2 - 2.0 * band], t)
-    return regime, t_use
+        return np.where(t <= arr.t0 + band, _QUIET, _VOLUME)
+    return np.select([t <= arr.t_h1 + band, t <= arr.t0, t <= arr.t_h2],
+                     [_QUIET, _HEAD, _MIXED], _VOLUME)
 
 
-def _windows(t_use, regime, geom: Geometry, branch: WaveBranch,
-             v_max: float):
+def _windows(t, regime, geom: Geometry, branch: WaveBranch, v_max: float):
     """Quadrature windows of every live sample, grouped by rule.
 
     Returns (integrand, endpoint, rows, a, b) tuples: integrand is
     _volume_values or _head_values, rows the sample indices, (a, b) the
     window bounds.  The regime codes alone pick the windows:
     - mixed and volume samples get the volume window (0, q0), upper_sqrt;
-    - head samples get the head window (0, q1), regular;
-    - mixed samples get the head window (q0, q1), lower_sqrt.
+    - head samples get the head window (0, q1) and mixed samples the head
+      window (q0, q1), both lower_sqrt: with a = 0 that rule gives the
+      nodes and weights of the plain midpoint rule bit for bit, since
+      sqrt(u*u) = u in binary64.
     Volume windows come first, so each sample adds its volume part before
     its head part.  An empty window (b <= a) integrates to 0.
     """
     vol = np.flatnonzero(regime >= _MIXED)  # mixed or volume
-    q0 = cagniard._q0_vec(t_use[vol], geom, branch) if vol.size \
-        else np.zeros(0)
-    mixed = regime[vol] == _MIXED
-    head = np.flatnonzero(regime == _HEAD)
-    groups = [(_volume_values, "upper_sqrt", vol, np.zeros_like(q0), q0)]
-    for endpoint, rows, lo in (("regular", head, np.zeros(head.size)),
-                               ("lower_sqrt", vol[mixed], q0[mixed])):
-        if rows.size:
-            groups.append((_head_values, endpoint, rows, lo,
-                           cagniard.q1_of_t(t_use[rows], geom, branch, v_max)))
+    lo = np.zeros(t.size)
+    if vol.size:
+        lo[vol] = cagniard._q0_vec(t[vol], geom, branch)
+    head = np.flatnonzero((regime == _HEAD) | (regime == _MIXED))
+    groups = [(_volume_values, "upper_sqrt", vol, np.zeros(vol.size), lo[vol])]
+    if head.size:
+        groups.append((_head_values, "lower_sqrt", head, lo[head],
+                       cagniard.q1_of_t(t[head], geom, branch, v_max)))
     return [g for g in groups if g[2].size]
 
 
@@ -326,25 +320,26 @@ def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
 
     _classify's regime is the one decision per sample: quiet samples,
     those within the onset band included, stay exactly 0, and the others
-    integrate the windows _windows gives their regime.  The windows of all
-    samples are found at once.  Consecutive non-empty windows of one rule
-    are then joined into chunks of at most _CHUNK_NODES nodes (at least
-    one window), and each chunk takes one contour solve, one interface
-    solve, one gate check and one weighted sum, with one t per node.  No
-    state passes between nodes, so a chunk gives its windows' values bit
-    for bit as quadrature() does window by window.  A failure names the
+    integrate, at their own time, the windows _windows gives their regime.
+    The windows of all samples are found at once, in two groups: volume
+    and head.  Consecutive non-empty windows of one group are then joined
+    into chunks of at most _CHUNK_NODES nodes (at least one window), and
+    each chunk takes one contour solve, one interface solve, one gate check
+    and one weighted sum, with one t per node.  No state passes between
+    nodes, so a chunk gives its windows' values bit for bit as quadrature()
+    does window by window.  A failure names the
     sample it happened at, its regime and the branch: a non-finite node k
     of a chunk belongs to its window k // n, and an exception raised
     inside a chunk's solves is raised again from its own window, the
     chunk's windows taken one at a time.
     """
     arr = arrival_times(geom, branch, model.v_max)
-    regime, t_use = _classify(t_grid, arr)
+    regime = _classify(t_grid, arr)
     out = np.zeros((t_grid.size, n_channels))
     try:
-        windows = _windows(t_use, regime, geom, branch, model.v_max)
+        windows = _windows(t_grid, regime, geom, branch, model.v_max)
     except PoroseisError as exc:
-        hit = np.flatnonzero(t_use == getattr(exc, "t", None))
+        hit = np.flatnonzero(t_grid == getattr(exc, "t", None))
         if hit.size:
             raise _name_sample(exc, hit[0], t_grid, regime, branch)
         raise
@@ -356,7 +351,7 @@ def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
         for start in range(0, rows.size, per_chunk):
             part = slice(start, start + per_chunk)
             nodes, weights = _window_rule(a[part], b[part], cfg, endpoint)
-            t_nodes = np.repeat(t_use[rows[part]], n).reshape(nodes.shape)
+            t_nodes = np.repeat(t_grid[rows[part]], n).reshape(nodes.shape)
             try:
                 values = integrand(model, geom, branch, t_nodes.ravel(),
                                    nodes.ravel())

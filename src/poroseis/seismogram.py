@@ -5,9 +5,10 @@ The source time function is a symmetric pulse centred at 1/f0,
     f(t) = (2*pi^2/f0^2) * (3 + 12*u + 4*u^2) * exp(-u),
     u = pi^2 * f0^2 * (t - 1/f0)^2,
 
-whose value at the centre is 6*pi^2/f0^2.  It decays like a Gaussian; beyond
-1.6/f0 from the centre the values are below 5e-9 of the peak and the
-discrete kernel treats them as zero, so the effective support is
+whose value at the centre is 6*pi^2/f0^2.  It decays like a Gaussian: at
+1.6/f0 from the centre it is 1.01e-8 of the peak, its derivative is 4.1e-8
+of the derivative's peak, and both fall further beyond.  The discrete
+kernel treats the pulse as zero there, so the effective support is
 [1/f0 - 1.6/f0, 1/f0 + 1.6/f0] and seismograms switch on 0.6/f0 before the
 Green-function arrival.
 

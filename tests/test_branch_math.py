@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poroseis.branch_math import (branch_sqrt, fictitious_velocity, kappa,
-                                  kappa_below_cut)
+from poroseis.branch_math import branch_sqrt, kappa, kappa_below_cut
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -70,17 +69,3 @@ def test_kappa_below_cut_matches_contour_limit():
         from_contour = kappa(v, gamma, qy)
         direct = kappa_below_cut(v, zeta, qy)
         assert from_contour == pytest.approx(direct, rel=1e-5)
-
-
-@settings(max_examples=100, deadline=None)
-@given(v=st.floats(100.0, 9000.0), q=st.floats(0.0, 1e-2))
-def test_fictitious_velocity_bounds(v, q):
-    vf = fictitious_velocity(v, q)
-    assert 0.0 < vf <= v
-    assert 1.0 / vf ** 2 == pytest.approx(1.0 / v ** 2 + q ** 2, rel=1e-12)
-
-
-def test_fictitious_velocity_decreasing():
-    q = np.linspace(0.0, 5e-3, 200)
-    vf = fictitious_velocity(2000.0, q)
-    assert np.all(np.diff(vf) < 0.0)

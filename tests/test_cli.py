@@ -19,7 +19,7 @@ from poroseis.cagniard import WaveKind
 from poroseis.cli import (ConfigError, fixture_config, load_config, main,
                           run_compute, run_verify, verify_rows, _media_hash,
                           _time_grid)
-from poroseis.errors import DomainError, NotConverged
+from poroseis.errors import DomainError, NotConverged, SingularSystem
 from poroseis.green import (ReflectedChannels, branch_arrivals, green_trace,
                             reflected_trace, transmitted_trace)
 from poroseis.oracle import laplace_nodes
@@ -324,7 +324,8 @@ def test_compute_writes_nothing_when_a_later_receiver_fails(tmp_path,
     monkeypatch.setattr("poroseis.cli.green_trace", fail_second)
     assert run_compute(setup, quiet=True) == 3
     assert seen == setup.receivers
-    assert "synthetic failure at receiver 2" in capsys.readouterr().err
+    assert "numerical failure: receiver 2: synthetic failure at receiver 2" \
+        in capsys.readouterr().err
     assert not list(out.glob("receiver_*")) + list(out.glob("green_*"))
 
 
@@ -472,6 +473,21 @@ def test_verify_reports_trace_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("poroseis.cli.reflected_trace", explode)
     assert run_verify(setup) == 3
     assert "synthetic trace failure" in capsys.readouterr().err
+
+
+def test_verify_rows_keeps_the_trace_error(tmp_path, monkeypatch):
+    """A trace failure reaches the caller of verify_rows as the error it
+    was, with its attributes, and names the receiver."""
+    setup = _verify_setup(tmp_path, monkeypatch)
+
+    def singular(model, receiver, grid, quad):
+        raise SingularSystem(1e-4 - 2e-5j, 3e-5, "synthetic")
+
+    monkeypatch.setattr("poroseis.cli.reflected_trace", singular)
+    with pytest.raises(SingularSystem,
+                       match="^receiver 1: interface system singular") as info:
+        verify_rows(setup)
+    assert info.value.q_x == 1e-4 - 2e-5j and info.value.q_y == 3e-5
 
 
 def test_verify_needs_s_values(tmp_path, monkeypatch, capsys):

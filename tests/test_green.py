@@ -241,6 +241,21 @@ def test_transmitted_samples_just_past_the_arrival(model, fluid_receiver,
         assert np.all(out.u_z != 0.0), kind
 
 
+def test_sample_just_past_a_head_arrival_carries_the_volume_wave(
+        model, porous_receiver, quad_cfg):
+    """The fixture P-slow arrival t0 lies inside its head segment, where
+    the volume wave switches on with a jump.  A sample 4 ulp past t0 is
+    taken at its own time, so it already carries the volume wave: it agrees
+    with the sample at t0*(1 + 3e-12) to 1 % on both channels, not with
+    the head wave just before t0, whose u_x has the opposite sign."""
+    t0 = branch_arrivals(model, porous_receiver)[WaveKind.TRANSMITTED_PS].t0
+    t = np.array([t0 + 4.0 * np.spacing(t0), t0 * (1.0 + 3e-12)])
+    out = transmitted_trace(model, porous_receiver, WaveKind.TRANSMITTED_PS,
+                            t, quad_cfg)
+    for channel in (out.u_x, out.u_z):
+        assert abs(channel[0] / channel[1] - 1.0) <= 1e-2
+
+
 @pytest.mark.parametrize("n", [2000, 8000])
 def test_reflected_jump_matches_the_ray_limit(model, fluid_receiver, n):
     """Just past the reflected arrival xi tends to the geometric-ray limit
@@ -273,9 +288,9 @@ def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
     from poroseis.cagniard import arrival_times, head_window, q0_of_t
 
     arr = arrival_times(geom, branch, model.v_max)
-    regime, t_use = green._classify(t_grid, arr)
+    regime = green._classify(t_grid, arr)
     out = np.zeros((t_grid.size, n_channels))
-    for i, (reg, t) in enumerate(zip(regime, t_use)):
+    for i, (reg, t) in enumerate(zip(regime, t_grid)):
         t = float(t)
         if reg in (green._MIXED, green._VOLUME):
             out[i] += quadrature(
@@ -294,7 +309,7 @@ def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
 def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
     """The chunked time loop gives the per-sample traces bit for bit, on
     volume, head and mixed windows of the reflected and transmitted
-    branches and inside the edge bands at the onset, t0 and t_h2, with a
+    branches and within 5e-13 * t of the onset, t0 and t_h2, with a
     node budget of three windows, so that chunk boundaries fall inside
     each group of windows and between the two windows of mixed samples.
     Every node of the per-window loop is solved and gated exactly once,

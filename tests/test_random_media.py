@@ -88,9 +88,12 @@ def test_random_media_give_finite_traces(acoustic, seed):
 def test_random_media_samples_just_past_every_edge(acoustic):
     """Every branch of the draws of seeds 0-39 at both receivers gives
     finite samples at n = 2000 just past each of its edges t0, t_h1 and
-    t_h2: 5 log-spaced ones from 2e-12 of the edge, just outside the edge
-    band, to 1e-5 s past it.  Failures are collected so that one run names
-    them all."""
+    t_h2: 5 log-spaced ones from 2e-12 of the edge, just outside the quiet
+    band of the onset, to 1e-5 s past it.  Head branches also give finite
+    samples on both sides of t0 and t_h2 within the band's width, where
+    each sample is taken at its own time: 1 and 4096 ulp and 5e-13 of the
+    edge either side.  Each branch is one call.  Failures are collected so
+    that one run names them all."""
     cfg = QuadratureConfig(n=2000)
     failures = []
     for seed in range(40):
@@ -100,8 +103,14 @@ def test_random_media_samples_just_past_every_edge(acoustic):
                 edges = [arr.t0]
                 if arr.head_exists:
                     edges += [arr.t_h1, arr.t_h2]
-                t_grid = np.sort(np.concatenate(
-                    [e + np.geomspace(2e-12 * e, 1e-5, 5) for e in edges]))
+                t_grid = [e + np.geomspace(2e-12 * e, 1e-5, 5) for e in edges]
+                if arr.head_exists:
+                    t_grid += [e + sign * np.array([np.spacing(e),
+                                                    4096.0 * np.spacing(e),
+                                                    5e-13 * e])
+                               for e in (arr.t0, arr.t_h2)
+                               for sign in (-1.0, 1.0)]
+                t_grid = np.sort(np.concatenate(t_grid))
                 try:
                     if kind is WaveKind.REFLECTED:
                         trace = reflected_trace(model, receiver, t_grid, cfg)
