@@ -39,7 +39,8 @@ from .green import (GreenTrace, HalfspaceModel, QuadratureConfig, Receiver,
                     branch_arrivals, green_trace, reflected_trace,
                     transmitted_trace)
 from .media import AcousticMedium, PoroelasticParams, derive_poroelastic, validate
-from .oracle import LAPLACE_SPAN, default_probe, laplace_nodes, laplace_reference
+from .oracle import (LAPLACE_SPAN, MAX_GRID_N, default_probe, laplace_nodes,
+                     laplace_reference)
 from .seismogram import Seismogram, SourceWavelet, convolve
 
 
@@ -252,8 +253,9 @@ def load_config(cfg: dict) -> RunSetup:
                 f"past {MAX_LENGTH_M:g} m of travel; the smallest accepted "
                 f"s is {s_min!r}")
     verify_n = vf_sec.get("grid_n", 240)
-    if not isinstance(verify_n, int) or verify_n < 8:
-        raise ConfigError(f"verify.grid_n must be an integer >= 8, got {verify_n!r}")
+    if not isinstance(verify_n, int) or not 8 <= verify_n <= MAX_GRID_N:
+        raise ConfigError(f"verify.grid_n must be an integer in "
+                          f"[8, {MAX_GRID_N}], got {verify_n!r}")
 
     return RunSetup(
         config=cfg, model=model, wavelet=SourceWavelet(f0=f0), gain=gain,

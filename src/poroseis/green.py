@@ -31,6 +31,7 @@ functions ready for wavelet convolution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,13 +135,16 @@ def quadrature(integrand, a: float, b: float, cfg: QuadratureConfig,
     """Integrate integrand over (a, b) with the midpoint rule.
 
     endpoint marks a known inverse-square-root singularity at one end:
-    "upper_sqrt" for 1/sqrt(b^2 - q^2) behaviour, "lower_sqrt" for
-    1/sqrt(q^2 - a^2), "regular" otherwise.  In sin-substitution mode the
-    marked windows are transformed before applying the midpoint rule.  The
-    integrand may return one value per node or a row of channel values.
-    The time loop integrates chunks of windows with the same nodes,
-    weights and sums (_window_rule, _window_sums).
+    "upper_sqrt" for 1/sqrt(b^2 - q^2) behaviour on a window (0, b),
+    "lower_sqrt" for 1/sqrt(q^2 - a^2), "regular" otherwise.  In
+    sin-substitution mode the marked windows are transformed before
+    applying the midpoint rule.  The integrand may return one value per
+    node or a row of channel values.  The time loop integrates chunks of
+    windows with the same nodes, weights and sums (_window_rule,
+    _window_sums).
     """
+    if endpoint == "upper_sqrt" and a != 0.0:
+        raise ValueError(f"an upper_sqrt window starts at q = 0, got a = {a!r}")
     if not b > a:
         return 0.0
     nodes, weights = _window_rule(np.array([a], dtype=float),
@@ -157,15 +161,13 @@ def _window_rule(a, b, cfg: QuadratureConfig, endpoint: str):
     """Nodes and weights of the windows (a[j], b[j]), one row per window.
 
     The rule of quadrature(), taken for many windows at once; every row
-    depends on its own bounds alone.
+    depends on its own bounds alone.  upper_sqrt windows start at a = 0.
     """
     a, b = a[:, None], b[:, None]
-    mid = np.arange(cfg.n) + 0.5
     if cfg.sin_substitution and endpoint == "upper_sqrt":
-        th_lo = np.arcsin(np.clip(a / b, 0.0, 1.0))
-        h = (0.5 * math.pi - th_lo) / cfg.n
-        theta = th_lo + mid * h
-        return b * np.sin(theta), b * np.cos(theta) * h
+        sin, cos, h = _theta_grid(cfg.n)
+        return b * sin, b * cos * h
+    mid = np.arange(cfg.n) + 0.5
     if cfg.sin_substitution and endpoint == "lower_sqrt":
         h = np.sqrt(b * b - a * a) / cfg.n
         u = mid * h
@@ -173,6 +175,20 @@ def _window_rule(a, b, cfg: QuadratureConfig, endpoint: str):
         return nodes, (u / nodes) * h
     h = (b - a) / cfg.n
     return a + mid * h, np.repeat(h, cfg.n, axis=1)
+
+
+@functools.lru_cache
+def _theta_grid(n: int):
+    """Midpoints theta_j = (j + 1/2) h of (0, pi/2), with h = pi/(2n).
+
+    Returns sin and cos of theta, read-only, and h: the upper_sqrt rule of
+    every window (0, b) scales them by b.
+    """
+    h = 0.5 * math.pi / n
+    theta = (np.arange(n) + 0.5) * h
+    sin, cos = np.sin(theta), np.cos(theta)
+    sin.flags.writeable = cos.flags.writeable = False
+    return sin, cos, h
 
 
 def _non_finite_node(values):

@@ -10,9 +10,10 @@ from poroseis.cagniard import (Geometry, WaveKind, arrival_times,
                                reflected_branch)
 from poroseis.coefficients import _solve_structured, _structural_entries
 from poroseis.errors import ConvergenceFailure, DomainError, NonFiniteIntegrand
-from poroseis.green import (QuadratureConfig, Receiver, branch_arrivals,
-                            green_trace, incident_trace, quadrature,
-                            reflected_trace, rotate_to_3d, transmitted_trace)
+from poroseis.green import (QuadratureConfig, Receiver, _window_rule,
+                            branch_arrivals, green_trace, incident_trace,
+                            quadrature, reflected_trace, rotate_to_3d,
+                            transmitted_trace)
 
 LN_2_PLUS_SQRT3 = 1.3169578969248166  # integral of 1/sqrt(q^2-1) over (1, 2)
 
@@ -39,6 +40,23 @@ def test_quadrature_upper_sqrt_singularity():
         == pytest.approx(exact, abs=1e-12)
     plain_err = abs(quadrature(f, 0.0, 1.0, plain_cfg, "upper_sqrt") - exact)
     assert plain_err > 1e-3
+    with pytest.raises(ValueError, match="starts at q = 0"):
+        quadrature(f, 0.5, 1.0, sin_cfg, "upper_sqrt")
+
+
+@pytest.mark.parametrize("n", [16, 2000])
+def test_upper_sqrt_rule_is_the_arcsine_map_from_zero(n, rng):
+    """The shared theta grid gives the nodes and weights of q = b sin(theta)
+    over (0, pi/2) bit for bit, as the arcsine map from a = 0 does."""
+    b = rng.uniform(1e-5, 1e-3, 7)
+    nodes, weights = _window_rule(np.zeros(b.size), b,
+                                  QuadratureConfig(n=n), "upper_sqrt")
+    b = b[:, None]
+    th_lo = np.arcsin(np.clip(0.0 / b, 0.0, 1.0))
+    h = (0.5 * math.pi - th_lo) / n
+    theta = th_lo + (np.arange(n) + 0.5) * h
+    assert np.array_equal(nodes, b * np.sin(theta))
+    assert np.array_equal(weights, b * np.cos(theta) * h)
 
 
 def test_quadrature_lower_sqrt_singularity():

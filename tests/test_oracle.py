@@ -136,6 +136,13 @@ def test_probe_validation(fluid_receiver):
         LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=0.0, n=64)
     with pytest.raises(ValueError):
         LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=1e-3, n=4)
+    # The doubled order's (2n, 2n) float64 buffer stays within 1 GiB.
+    n_max = oracle.MAX_GRID_N
+    assert 32 * n_max ** 2 <= 2 ** 30 < 32 * (n_max + 1) ** 2
+    LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=1e-3, n=n_max)
+    with pytest.raises(ValueError, match="grid order above"):
+        LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=1e-3,
+                     n=n_max + 1)
 
 
 def test_reference_rejects_unknown_channel(model, fluid_receiver):
@@ -371,3 +378,90 @@ def test_default_probe_covers_the_slowest_wave(acoustic, poro_params,
         got = laplace_reference(probe, model, channel)
         assert got == pytest.approx(laplace_reference(wide, model, channel),
                                     rel=1e-9)
+
+
+def _leggauss_long_double(n, x):
+    """Newton-polished nodes from x and their weights, in long double."""
+    x = np.asarray(x, dtype=np.longdouble)
+
+    def legendre(x):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (p_prev - x * p) / (1 - x * x)
+
+    for _ in range(3):
+        p, slope = legendre(x)
+        x = x - p / slope
+    _, slope = legendre(x)
+    return x, 2 / ((1 - x * x) * slope * slope)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 65, 240, 480])
+def test_leggauss_is_the_gauss_legendre_rule(n):
+    """Ascending, symmetric, exact on even powers up to degree 2n - 1, and
+    at round-off from a long-double evaluation; numpy's eigenvalue rule,
+    whose weights are off by up to 5.7e-10 relative at n = 480, agrees
+    within its own error."""
+    x, w = oracle._leggauss(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert not x.flags.writeable and not w.flags.writeable
+    for k in range(n):  # x^(2k), 2k <= 2n - 1
+        assert np.sum(w * x ** (2 * k)) == pytest.approx(2.0 / (2 * k + 1),
+                                                         rel=1e-13)
+    x_np, w_np = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x, x_np, rtol=0.0, atol=4e-16)
+    np.testing.assert_allclose(w, w_np, rtol=1e-9, atol=0.0)
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double here")
+    x_ref, w_ref = _leggauss_long_double(n, x)
+    assert np.max(np.abs(x - x_ref)) <= 2e-16
+    assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-12
+
+
+def _fixture_values(model, fluid_receiver, porous_receiver, before=None):
+    """The 18 oracle values of the fixture's verify: 9 channels at s = 20
+    and 40, grid order 240; before() runs ahead of each value."""
+    values = []
+    for s in (20.0, 40.0):
+        for receiver, channels in (
+                (fluid_receiver, ("xi_ref", "u_ref_x", "u_ref_z")),
+                (porous_receiver, ("u_pf_x", "u_pf_z", "u_ps_x", "u_ps_z",
+                                   "u_s_x", "u_s_z"))):
+            probe = default_probe(model, receiver, s, n=240)
+            for channel in channels:
+                if before is not None:
+                    before()
+                values.append(laplace_reference(probe, model, channel))
+    return values
+
+
+def test_angular_sums_are_shared_between_channels(model, fluid_receiver,
+                                                  porous_receiver):
+    """The 18 values need 16 angular sums: one per receiver side, s, order
+    and parity.  Shared or not, every value is the same to the bit."""
+    alone = _fixture_values(model, fluid_receiver, porous_receiver,
+                            before=oracle._angular.cache_clear)
+    oracle._angular.cache_clear()
+    shared = _fixture_values(model, fluid_receiver, porous_receiver)
+    assert oracle._angular.cache_info().misses == 16
+    assert shared == alone
+    probe = default_probe(model, porous_receiver, 20.0, n=240)
+    angular = oracle._angular(20.0 * 400.0, probe.q_width, 240, oracle._ODD)
+    assert not angular.flags.writeable
+    with pytest.raises(ValueError):
+        angular[0] = 0.0
+
+
+def test_reference_needs_no_eigensolve(model, porous_receiver, monkeypatch):
+    """The Gauss-Legendre rule comes from Newton on the recurrence, not from
+    a dense eigenvalue solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    oracle._leggauss.cache_clear()
+    probe = default_probe(model, porous_receiver, 20.0, n=64)
+    assert math.isfinite(laplace_reference(probe, model, "u_pf_z"))
