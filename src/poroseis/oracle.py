@@ -15,8 +15,13 @@ depend on the slowness only through rho^2 = q_x^2 + q_y^2, so in polar
 coordinates (rho, phi) the systems are solved at the radial Gauss-Legendre
 nodes only, and the kernel, even about phi = 0 and phi = pi/2, is summed by
 the spectrally accurate midpoint rule in phi (Trefethen & Weideman, SIAM
-Rev. 2014).  Agreement of these values with the transforms of the traces
-at laplace_nodes is the strongest end-to-end check the package has.
+Rev. 2014).  The midpoint rule with m nodes on (0, pi/2) is the 4m-point
+trapezoid rule on the full circle, whose error is carried by the Bessel
+terms J_{4m-1}(a) and beyond, a = s*x*Q the largest phase on the disc; the
+bound |J_nu(a)| <= (a/2)^nu / nu! (Abramowitz & Stegun 9.1.62) sets m from
+the kernel's bandwidth, independent of the radial order.  Agreement of
+these values with the transforms of the traces at laplace_nodes is the
+strongest end-to-end check the package has.
 
 Also here: the brute-force arrival-time oracle used to validate the
 stationary-ray solver, and the bisection that checks the closed-form end of
@@ -49,9 +54,13 @@ _POROUS_CHANNELS = ("u_pf_x", "u_pf_z", "u_ps_x", "u_ps_z", "u_s_x", "u_s_z")
 # against the 1e-3 verify gate), with _LAPLACE_ORDER nodes per piece.
 LAPLACE_SPAN = 34.0
 _LAPLACE_ORDER = 64
-# Largest probe order: at the doubled order 2n, _angular's (2n, 2n) float64
-# phase buffer stays within 1 GiB.
-MAX_GRID_N = math.isqrt(2 ** 30 // 8) // 2
+# Largest buffer of one oracle sum.  laplace_reference checks the angular
+# (2n, m) float64 buffer against it, and MAX_GRID_N, the largest probe
+# order, keeps (2n)^2 float64 values within it.
+_MAX_BUFFER_BYTES = 2 ** 30
+MAX_GRID_N = math.isqrt(_MAX_BUFFER_BYTES // 8) // 2
+# Aliasing bound at which _angular_order stops: below round-off of the sums.
+_ANGULAR_TOL = 1e-17
 
 
 def _legendre(n: int, x):
@@ -99,8 +108,9 @@ class LaplaceProbe:
 
     q_width is the rim radius Q of the folded quarter disc; the integrand
     must have decayed below 1e-9 of its peak at the rim, which
-    laplace_reference enforces.  n is the radial Gauss-Legendre order and
-    the angular midpoint order before the convergence doubling.
+    laplace_reference enforces.  n is the radial Gauss-Legendre order
+    before the convergence doubling; the angular order follows from
+    s * |x| * q_width alone (_angular_order).
     """
 
     s: float          # Laplace parameter, 1/s
@@ -148,25 +158,54 @@ def _gauss_nodes(q_width: float, n: int):
     return 0.5 * q_width * (x + 1.0), 0.5 * q_width * w
 
 
+def _angular_order(a: float) -> int:
+    """Smallest midpoint order m >= 8 in phi for phases up to a.
+
+    The m-node rule on (0, pi/2) is the N = 4m trapezoid rule on the
+    circle.  Its first aliased Bessel terms are of order N for the even
+    kernel cos(a cos phi) and N - 1 for the odd one cos(phi) sin(a cos phi),
+    both bounded by (a/2)^(N-1) / (N-1)! once N > a/2; m is the smallest
+    order that puts this bound at or below _ANGULAR_TOL.  The bound rises in N while N - 1 < a/2 and stays above
+    1 there, then falls, so the test is monotone in m and bisection finds
+    the smallest m in O(log a) steps.
+    """
+    log_tol = math.log(_ANGULAR_TOL)
+
+    def exact(m):
+        k = 4 * m - 1
+        return a == 0.0 \
+            or k * math.log(0.5 * a) - math.lgamma(k + 1) <= log_tol
+
+    lo, hi = 8, 8
+    while not exact(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # exact(hi) holds, exact(lo) fails unless lo == hi
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if exact(mid) else (mid, hi)
+    return hi
+
+
 @functools.lru_cache
 def _angular(s_off: float, q_width: float, n: int, parity: str):
     """Angular sums of the kernel at the n radial nodes, read-only.
 
     They depend on the channel only through its parity, so the channels of
     one receiver, s and order share them.  Midpoint rule in phi on
-    (0, pi/2); the sum carries its weight pi/(2n).  The phase s*q_x*off
-    with q_x = rho*cos(phi) is built in one (n, n) buffer, which cos or sin
-    then overwrites; odd parity sums q_x*sin(phase) as rho times a product
-    with cos(phi).
+    (0, pi/2) with m = _angular_order(s_off * q_width) nodes; the sum
+    carries its weight pi/(2m).  The phase s*q_x*off with q_x =
+    rho*cos(phi) is built in one (n, m) buffer, which cos or sin then
+    overwrites; odd parity sums q_x*sin(phase) as rho times a product with
+    cos(phi).
     """
     rho, _ = _gauss_nodes(q_width, n)
-    cos_phi = np.cos((np.arange(n) + 0.5) * (0.5 * math.pi / n))
+    m = _angular_order(s_off * q_width)
+    cos_phi = np.cos((np.arange(m) + 0.5) * (0.5 * math.pi / m))
     phase = np.multiply.outer(s_off * rho, cos_phi)
     if parity == _EVEN:
         angular = np.cos(phase, out=phase).sum(axis=1)
     else:
         angular = rho * (np.sin(phase, out=phase) @ cos_phi)
-    angular *= 0.5 * math.pi / n
+    angular *= 0.5 * math.pi / m
     angular.flags.writeable = False
     return angular
 
@@ -275,13 +314,24 @@ def laplace_reference(probe: LaplaceProbe, model: HalfspaceModel,
                       channel: str) -> float:
     """Oracle value of one channel at one real Laplace parameter.
 
-    The order is doubled and the two values must agree to 1e-4 relative,
-    otherwise NotConverged; the doubled value is returned.  Each sum must
-    also keep its round-off below 1e-6 of its value (machine epsilon times
-    a bound on the sum of |terms| over |sum|), otherwise NotConverged: a
-    sum that cancels down to round-off can pass the doubling check.  A
-    non-finite value, which passes both comparisons, is NotConverged too.
+    A probe whose angular order m, at the doubled radial order 2n, would
+    need a (2n, m) float64 buffer over 1 GiB is NotConverged before any
+    buffer is allocated.  The radial order is doubled and the two values
+    must agree to 1e-4 relative, otherwise NotConverged; the doubled value
+    is returned.  Each sum must also keep its round-off below 1e-6 of its
+    value (machine epsilon times a bound on the sum of |terms| over |sum|),
+    otherwise NotConverged: a sum that cancels down to round-off can pass
+    the doubling check.  A non-finite value, which passes both
+    comparisons, is NotConverged too.
     """
+    a = probe.s * math.hypot(probe.receiver.x, probe.receiver.y) \
+        * probe.q_width
+    m = _angular_order(a)
+    if 8 * 2 * probe.n * m > _MAX_BUFFER_BYTES:
+        raise NotConverged(
+            f"channel {channel} at s={probe.s}: phases up to a={a:.6g} need "
+            f"angular order m={m}, whose (2n, m) buffer at n={probe.n} "
+            f"exceeds 1 GiB")
     coarse = _integrate(model, probe.receiver, channel, probe.s,
                         probe.q_width, probe.n)
     fine = _integrate(model, probe.receiver, channel, probe.s,

@@ -61,7 +61,8 @@ def test_fixture_command_prints_loadable_config(capsys):
     (lambda c: c["verify"].update(s_values_per_s=[0]), "positive, got 0"),
     (lambda c: c["verify"].update(s_values_per_s=[-5]), "positive, got -5"),
     (lambda c: c["verify"].update(grid_n=7), "grid_n must be an integer"),
-    # The doubled order's (2n, 2n) float64 buffer would pass 1 GiB.
+    # Above MAX_GRID_N: the doubled radial order, squared, in float64 would
+    # pass 1 GiB.
     (lambda c: c["verify"].update(grid_n=5793), r"grid_n .* got 5793"),
     (lambda c: c["verify"].update(grid_n=100000), r"grid_n .* got 100000"),
     # A transform span 34/s over which the fastest wave travels past the

@@ -136,7 +136,7 @@ def test_probe_validation(fluid_receiver):
         LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=0.0, n=64)
     with pytest.raises(ValueError):
         LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=1e-3, n=4)
-    # The doubled order's (2n, 2n) float64 buffer stays within 1 GiB.
+    # The doubled radial order, squared, in float64 stays within 1 GiB.
     n_max = oracle.MAX_GRID_N
     assert 32 * n_max ** 2 <= 2 ** 30 < 32 * (n_max + 1) ** 2
     LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=1e-3, n=n_max)
@@ -465,3 +465,91 @@ def test_reference_needs_no_eigensolve(model, porous_receiver, monkeypatch):
     oracle._leggauss.cache_clear()
     probe = default_probe(model, porous_receiver, 20.0, n=64)
     assert math.isfinite(laplace_reference(probe, model, "u_pf_z"))
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-3, 1.0, 23.1, 31.0, 300.0, 3080.0,
+                               4e7])
+def test_angular_order_is_the_smallest_below_the_bound(a):
+    """At the order returned the aliasing bound (a/2)^(N-1) / (N-1)!, N = 4m,
+    is at most 1e-17, and one order less it is not, unless m is the floor
+    of 8."""
+    def log_bound(m):
+        k = 4 * m - 1
+        return -math.inf if a == 0.0 else \
+            k * math.log(0.5 * a) - math.lgamma(k + 1)
+
+    m = oracle._angular_order(a)
+    assert m >= 8
+    assert log_bound(m) <= math.log(1e-17)
+    if m > 8:
+        assert log_bound(m - 1) > math.log(1e-17)
+
+
+def test_angular_order_grows_with_the_phase(model, fluid_receiver,
+                                            porous_receiver):
+    """Non-decreasing in a, 8 at a = 0, and 15 to 18 nodes at the fixture's
+    four (side, s) pairs, where the phase reaches 23 to 31 radians."""
+    orders = [oracle._angular_order(a) for a in np.linspace(0.0, 5e3, 2001)]
+    assert orders[0] == 8
+    assert all(b >= a for a, b in zip(orders, orders[1:]))
+    fixture = []
+    for s in (20.0, 40.0):
+        for receiver in (fluid_receiver, porous_receiver):
+            probe = default_probe(model, receiver, s)
+            fixture.append(oracle._angular_order(
+                s * math.hypot(receiver.x, receiver.y) * probe.q_width))
+    assert fixture == [15, 16, 17, 18]
+
+
+@pytest.fixture()
+def fresh_angular():
+    """Clears the angular cache before and after a test that changes how
+    its sums are made, so no other test sees them."""
+    oracle._angular.cache_clear()
+    yield
+    oracle._angular.cache_clear()
+
+
+def test_angular_order_leaves_the_values_at_round_off(model, fluid_receiver,
+                                                      porous_receiver,
+                                                      monkeypatch,
+                                                      fresh_angular):
+    """Four times the angular order moves none of the fixture's 18 values by
+    more than 1e-13 relative."""
+    values = _fixture_values(model, fluid_receiver, porous_receiver)
+    order = oracle._angular_order
+    monkeypatch.setattr(oracle, "_angular_order", lambda a: 4 * order(a))
+    oracle._angular.cache_clear()
+    finer = _fixture_values(model, fluid_receiver, porous_receiver)
+    np.testing.assert_allclose(values, finer, rtol=1e-13, atol=0.0)
+
+
+def test_angular_buffer_guard_allocates_nothing(model, monkeypatch):
+    """Phases up to a = 4e7 need about 1.4e7 angular nodes, whose (2n, m)
+    buffer would pass 1 GiB even at n = 8: NotConverged names the order
+    before any node, angular sum or system solve is made."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("buffer allocated")
+
+    for name in ("_gauss_nodes", "_angular", "_solve_batch"):
+        monkeypatch.setattr(oracle, name, refuse)
+    probe = LaplaceProbe(s=40.0, receiver=Receiver(1e5, 0.0, 533.0),
+                         q_width=10.0, n=8)
+    m = oracle._angular_order(4e7)
+    assert 2 * 8 * m * 8 > 2 ** 30
+    with pytest.raises(NotConverged, match=f"angular order m={m}"):
+        laplace_reference(probe, model, "xi_ref")
+
+
+def test_near_interface_value_converges_at_order_960(acoustic, poro):
+    """Receiver (1000, 0, 5) m, 10 m above the interface, s = 20: the phase
+    reaches 3080 radians and takes 1056 angular nodes.  Radial order 240
+    still fails the doubling; 960 converges, to the order-1920 value."""
+    model = HalfspaceModel(acoustic, poro, 10.0)
+    receiver = Receiver(1000.0, 0.0, 5.0)
+    with pytest.raises(NotConverged, match="doubled gives"):
+        laplace_reference(default_probe(model, receiver, 20.0, n=240), model,
+                          "xi_ref")
+    value = laplace_reference(default_probe(model, receiver, 20.0, n=960),
+                              model, "xi_ref")
+    assert value == pytest.approx(2.2980604265659e-17, rel=1e-9)  # n = 1920
