@@ -34,8 +34,8 @@ point) and along the imaginary axis towards the origin where it is
 negative (the head point).
 
 Everything upstream of the interface coefficients is geometry and lives
-here: arrival times, window bounds in q at fixed t, and the contour points
-with their time derivatives.
+here: arrival times, each sample's regime (_classify) and the window bounds
+in q it selects, and the contour points with their time derivatives.
 """
 
 from __future__ import annotations
@@ -67,6 +67,10 @@ _CONTOUR_STEPS = 8
 # The cap only bounds the bisection fallback.
 _XI_SLOPE_ULPS = 8.0
 _XI_MAX_ITER = 60
+# Quiet band: samples up to this fraction of t past the onset are exactly 0.
+_EDGE_BAND = 1e-12
+_QUIET, _HEAD, _MIXED, _VOLUME = range(4)
+_REGIME_NAMES = ("quiet", "head", "mixed", "volume")
 
 
 class WaveKind(enum.Enum):
@@ -411,10 +415,24 @@ def q1_of_t(t, geom: Geometry, branch: WaveBranch, v_max: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _classify(t, arr: ArrivalTimes) -> np.ndarray:
+    """Regime code (_QUIET, _HEAD, _MIXED, _VOLUME) of every sample in t.
+
+    Quiet up to the onset plus _EDGE_BAND (t_h1, or t0 without a head
+    segment), head up to t0, mixed up to t_h2 and volume after.  Mixed and
+    volume samples have a volume window, head and mixed samples a head one.
+    """
+    band = _EDGE_BAND * np.abs(t)
+    if not arr.head_exists:
+        return np.where(t <= arr.t0 + band, _QUIET, _VOLUME)
+    return np.select([t <= arr.t_h1 + band, t <= arr.t0, t <= arr.t_h2],
+                     [_QUIET, _HEAD, _MIXED], _VOLUME)
+
+
 def volume_window(t: float, arrivals: ArrivalTimes, geom: Geometry,
                   branch: WaveBranch) -> tuple[float, float] | None:
-    """Transverse-slowness window (0, q0(t)) of the volume piece, or None."""
-    if not t > arrivals.t0:
+    """Volume-piece window (0, q0(t)) of a mixed or volume sample, else None."""
+    if _classify(t, arrivals) < _MIXED:
         return None
     q0 = q0_of_t(t, geom, branch)
     return (0.0, q0) if q0 > 0.0 else None
@@ -424,13 +442,13 @@ def head_window(t: float, arrivals: ArrivalTimes, geom: Geometry,
                 branch: WaveBranch, v_max: float) -> tuple[float, float] | None:
     """Transverse-slowness window of the head piece at time t, or None.
 
-    Between the head onset and the volume arrival the window is
-    (0, q1(t)); between the volume arrival and the head end it shrinks to
-    (q0(t), q1(t)).
+    A head sample (_classify) has the window (0, q1(t)); a mixed sample,
+    between the volume arrival and the head end, has (q0(t), q1(t)).
     """
-    if not (arrivals.head_exists and arrivals.t_h1 < t < arrivals.t_h2):
+    regime = _classify(t, arrivals)
+    if regime not in (_HEAD, _MIXED):
         return None
-    lo = q0_of_t(t, geom, branch) if t > arrivals.t0 else 0.0
+    lo = q0_of_t(t, geom, branch) if regime == _MIXED else 0.0
     hi = q1_of_t(t, geom, branch, v_max)
     return (lo, hi) if hi > lo else None
 

@@ -35,9 +35,9 @@ import numpy as np
 
 from .cagniard import MAX_LENGTH_M, WaveKind
 from .errors import NonPhysical, NotConverged, PoroseisError
-from .green import (GreenTrace, HalfspaceModel, QuadratureConfig, Receiver,
-                    branch_arrivals, green_trace, reflected_trace,
-                    transmitted_trace)
+from .green import (CHANNELS, GreenTrace, HalfspaceModel, QuadratureConfig,
+                    Receiver, branch_arrivals, green_trace, receiver_branches,
+                    reflected_trace, transmitted_trace)
 from .media import AcousticMedium, PoroelasticParams, derive_poroelastic, validate
 from .oracle import (LAPLACE_SPAN, MAX_GRID_N, default_probe, laplace_nodes,
                      laplace_reference)
@@ -48,12 +48,6 @@ class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
-_TRANSMITTED_ORDER = (WaveKind.TRANSMITTED_PF, WaveKind.TRANSMITTED_PS,
-                      WaveKind.TRANSMITTED_S)
-_VERIFY_CHANNELS = {WaveKind.REFLECTED: ("xi_ref", "u_ref_x", "u_ref_z"),
-                    WaveKind.TRANSMITTED_PF: ("u_pf_x", "u_pf_z"),
-                    WaveKind.TRANSMITTED_PS: ("u_ps_x", "u_ps_z"),
-                    WaveKind.TRANSMITTED_S: ("u_s_x", "u_s_z")}
 # glibc mallopt parameters (malloc.h) and the values _keep_freed_memory sets.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -303,6 +297,16 @@ def _format_row(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
+def _write_csv(path: Path, setup: RunSetup, header: list[str],
+               names: list[str], columns: list) -> None:
+    """The CSV layout of trace and Green files: the media-hash line, the
+    header lines, the column names, then one row of repr floats per sample."""
+    lines = [f"# media_hash={_media_hash(setup.config)}", *header,
+             "# columns=" + ",".join(names)]
+    lines.extend(_format_row(row) for row in zip(*columns))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _write_trace(path: Path, setup: RunSetup, seis: Seismogram) -> None:
     header_cols = ["t_s", "p_pa", "u_x_m", "u_y_m", "u_z_m"]
     columns = [seis.t, seis.p, seis.u_x, seis.u_y, seis.u_z]
@@ -317,45 +321,39 @@ def _write_trace(path: Path, setup: RunSetup, seis: Seismogram) -> None:
         path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
                         encoding="utf-8")
         return
-    lines = [
-        f"# media_hash={_media_hash(setup.config)}",
-        f"# config={json.dumps(setup.config, sort_keys=True)}",
-        "# columns=" + ",".join(header_cols),
-    ]
-    for row in zip(*columns):
-        lines.append(_format_row(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, setup,
+               [f"# config={json.dumps(setup.config, sort_keys=True)}"],
+               header_cols, columns)
 
 
 def _write_green(path: Path, setup: RunSetup, green: GreenTrace) -> None:
-    lines = [f"# media_hash={_media_hash(setup.config)}"]
-    if green.receiver.z > 0.0:
+    header, names, columns = [], ["t_s"], [green.t]
+    if green.incident is not None:  # fluid side
         inc, refl = green.incident, green.reflected
-        lines.append(f"# incident_dirac_time_s={inc.dirac_time!r}")
-        lines.append(f"# incident_dirac_amplitude={inc.dirac_amplitude!r}")
-        lines.append("# columns=t_s,inc_u_x,inc_u_z,refl_xi,refl_u_x,refl_u_z")
-        columns = [green.t, inc.u_x, inc.u_z, refl.xi, refl.u_x, refl.u_z]
-    else:
-        lines.append("# columns=t_s,pf_u_x,pf_u_z,ps_u_x,ps_u_z,s_u_x,s_u_z")
-        columns = [green.t]
-        for kind in _TRANSMITTED_ORDER:
-            columns.extend([green.transmitted[kind].u_x,
-                            green.transmitted[kind].u_z])
-    for row in zip(*columns):
-        lines.append(_format_row(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = [f"# incident_dirac_time_s={inc.dirac_time!r}",
+                  f"# incident_dirac_amplitude={inc.dirac_amplitude!r}"]
+        names += ["inc_u_x", "inc_u_z", "refl_xi", "refl_u_x", "refl_u_z"]
+        columns += [inc.u_x, inc.u_z, refl.xi, refl.u_x, refl.u_z]
+    for kind, ch in green.transmitted.items():
+        tag = kind.value.removeprefix("transmitted_")
+        names += [f"{tag}_u_x", f"{tag}_u_z"]
+        columns += [ch.u_x, ch.u_z]
+    _write_csv(path, setup, header, names, columns)
 
 
 def _keep_freed_memory() -> None:
     """Keep freed heap memory in the process instead of returning it.
 
-    Every time sample's window allocates and frees 1-2 MiB of numpy
-    temporaries.  glibc trims that memory back to the kernel once more than
-    128 KiB lie free at the top of the heap, and the next window faults the
-    same pages in again.  A 64 MiB trim threshold keeps them.  Setting it
-    also switches off glibc's dynamic mmap threshold, which would leave
-    every block above 128 KiB (the oracle's (480, 480) phase buffers) to a
-    fresh mmap per call, so the mmap threshold is raised to 32 MiB with it.
+    Each chunk of the time loop allocates and frees its numpy temporaries.
+    glibc trims freed memory back to the kernel once more than 128 KiB lie
+    free at the top of the heap, and the next chunk faults the same pages
+    in again.  A 64 MiB trim threshold keeps them.  Setting it also
+    switches off glibc's dynamic mmap threshold, which would leave every
+    block of 128 KiB or more to a fresh mmap per call: at n = 2000 the
+    reflected branch's channel weights and their product with dgamma/dt
+    (192,000 bytes each per chunk), the text of each trace file, and near
+    the interface the oracle's (2n, m) angular buffers (up to 31 MiB at
+    grid_n 1920).  So the mmap threshold is raised to 32 MiB with it.
     Where the C library has no ``mallopt`` (not glibc) this does nothing.
     It changes no arithmetic.
     """
@@ -381,36 +379,41 @@ def run_compute(setup: RunSetup, threads: int = 1, quiet: bool = False) -> int:
 
     Receivers are computed one after another, and files are written only
     once every receiver has computed, so a numerical failure leaves no
-    trace file; it is printed with its receiver's number.  ``threads`` is
-    accepted only as 1, for callers that still pass it.  The process keeps
-    freed memory from here on (``_keep_freed_memory``).
+    trace file; it is printed with its receiver's number (exit 3).  The
+    directory is made first; a path that cannot be written is printed
+    (exit 2).  ``threads`` is accepted only as 1, for callers that still
+    pass it.  The process keeps freed memory from here on
+    (``_keep_freed_memory``).
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
     _keep_freed_memory()
     _warn_short_window(setup)
-    setup.out_dir.mkdir(parents=True, exist_ok=True)
     t = _time_grid(setup)
-    results = []
+    results, path = [], setup.out_dir
     try:
+        path.mkdir(parents=True, exist_ok=True)
         for i, rec in enumerate(setup.receivers, start=1):
             green = green_trace(setup.model, rec, t, setup.quad)
             results.append((green, convolve(green, setup.wavelet, setup.dt,
                                             gain=setup.gain)))
+        for i, (green, seis) in enumerate(results, start=1):
+            path = setup.out_dir / f"receiver_{i:03d}.{setup.out_format}"
+            _write_trace(path, setup, seis)
+            if not quiet:
+                rec = setup.receivers[i - 1]
+                print(f"receiver {i} at ({rec.x}, {rec.y}, {rec.z}) m -> "
+                      f"{path}", file=sys.stderr)
+            if setup.emit_green:
+                path = setup.out_dir / f"green_{i:03d}.csv"
+                _write_green(path, setup, green)
     except PoroseisError as exc:
         print(f"numerical failure: {_name_receiver(exc, i)}", file=sys.stderr)
         return 3
-
-    ext = setup.out_format
-    for i, (green, seis) in enumerate(results, start=1):
-        trace_path = setup.out_dir / f"receiver_{i:03d}.{ext}"
-        _write_trace(trace_path, setup, seis)
-        if setup.emit_green:
-            _write_green(setup.out_dir / f"green_{i:03d}.csv", setup, green)
-        if not quiet:
-            rec = setup.receivers[i - 1]
-            print(f"receiver {i} at ({rec.x}, {rec.y}, {rec.z}) m -> "
-                  f"{trace_path}", file=sys.stderr)
+    except OSError as exc:  # only the directory and file writes raise it
+        print(f"file error: cannot write {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 
@@ -428,22 +431,19 @@ def verify_rows(setup: RunSetup) -> tuple[list[tuple], list[NotConverged]]:
         raise ConfigError("verify.s_values_per_s is empty")
     rows, unconverged = [], []
     for i, rec in enumerate(setup.receivers, start=1):
-        kinds = (WaveKind.REFLECTED,) if rec.z > 0.0 else _TRANSMITTED_ORDER
         for s in setup.verify_s:
             probe = default_probe(setup.model, rec, s, n=setup.verify_n)
-            for kind in kinds:
+            for kind in receiver_branches(setup.model, rec):
                 try:
                     t, w = laplace_nodes(setup.model, rec, kind, s)
                     if kind is WaveKind.REFLECTED:
                         ch = reflected_trace(setup.model, rec, t, setup.quad)
-                        channels = (ch.xi, ch.u_x, ch.u_z)
                     else:
                         ch = transmitted_trace(setup.model, rec, kind, t,
                                                setup.quad)
-                        channels = (ch.u_x, ch.u_z)
                 except PoroseisError as exc:
                     raise _name_receiver(exc, i)
-                for name, values in zip(_VERIFY_CHANNELS[kind], channels):
+                for name, values in zip(CHANNELS[kind], vars(ch).values()):
                     trace_val = float(w @ values)
                     try:
                         ref_val = laplace_reference(probe, setup.model, name)

@@ -12,20 +12,20 @@ along the deformed contours of :mod:`poroseis.cagniard`:
                             + integral over the head window of
                                 Re[W(upsilon) * dupsilon/dt] dq ]
 
-Each sample's regime, taken once from the arrival-time structure, decides
-its windows: a quiet sample, one within 1e-12 * t of the onset included, is
-exactly 0; a head sample integrates the head window (0, q1); a volume
-sample the volume window (0, q0); a mixed sample both, the head window
-shrunk to (q0, q1).  Every live sample is evaluated at its own time, also
-next to t0 and t_h2, and every head window takes one rule.  All samples of
-a trace are classified and their windows inverted at once.  The nodes of
-consecutive windows of one rule are then evaluated in chunks of about
-_CHUNK_NODES, one contour, interface and gate pass per chunk with one time
-per node.  No state passes between nodes, so each sample's value depends on
-its own time alone, and a chunk gives the same bits as its windows taken
-one at a time.  The fluid-side pressure is carried by its first time
-integral xi (the natural primitive produced by the contour construction);
-its displacements and the porous-side displacements are ordinary Green
+Each sample's regime (cagniard._classify) decides its windows: a quiet
+sample, one within 1e-12 * t of the onset included, is exactly 0; a head
+sample integrates the head window (0, q1); a volume sample the volume
+window (0, q0); a mixed sample both, the head window shrunk to (q0, q1).
+Every live sample is evaluated at its own time, also next to t0 and t_h2,
+and every head window takes one rule.  All samples of a trace are
+classified and their windows inverted at once.  The nodes of consecutive
+windows of one rule are then evaluated in chunks of about _CHUNK_NODES,
+one contour, interface and gate pass per chunk with one time per node.
+No state passes between nodes, so each sample's value depends on its own
+time alone, and a chunk gives the same bits as its windows taken one at a
+time.  The fluid-side pressure is carried by its first time integral xi
+(the natural primitive produced by the contour construction); its
+displacements and the porous-side displacements are ordinary Green
 functions ready for wavelet convolution.
 """
 
@@ -45,16 +45,16 @@ from .coefficients import _solve_structured, _structural_entries
 from .errors import DomainError, NonFiniteIntegrand, PoroseisError
 from .media import AcousticMedium, PoroelasticDerived
 
-# Quiet band: samples up to this fraction of t past the onset are exactly 0.
-_EDGE_BAND = 1e-12
-
 # Node budget of one chunk of windows in the time loop (at least one
 # window): one contour, interface and gate pass per chunk.  Chosen from a
 # measured sweep of run time against peak memory (CHANGES.md).
 _CHUNK_NODES = 4096
 
-_QUIET, _HEAD, _MIXED, _VOLUME = range(4)
-_REGIME_NAMES = ("quiet", "head", "mixed", "volume")
+# Oracle channel names of each wave's trace columns, in dataclass field order.
+CHANNELS = {WaveKind.REFLECTED: ("xi_ref", "u_ref_x", "u_ref_z"),
+            WaveKind.TRANSMITTED_PF: ("u_pf_x", "u_pf_z"),
+            WaveKind.TRANSMITTED_PS: ("u_ps_x", "u_ps_z"),
+            WaveKind.TRANSMITTED_S: ("u_s_x", "u_s_z")}
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,15 @@ class HalfspaceModel:
     source_height: float  # m above the interface, > 0
 
     @property
+    def speeds(self) -> tuple[float, float, float, float]:
+        """(v_plus, v_pf, v_ps, v_s): the order in which
+        coefficients._structural_entries takes the vertical slownesses."""
+        return (self.acoustic.v_plus, self.poro.v_pf, self.poro.v_ps,
+                self.poro.v_s)
+
+    @property
     def v_max(self) -> float:
-        return max(self.acoustic.v_plus, self.poro.v_pf,
-                   self.poro.v_ps, self.poro.v_s)
+        return max(self.speeds)
 
 
 @dataclass(eq=False)
@@ -262,7 +268,6 @@ def _volume_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     here, from gamma^2 taken once: the argument (1/v^2 + gamma^2) + q^2 is
     summed as in branch_math.kappa, so the values are the same to the bit.
     """
-    pd = model.poro
     gam, dgdt, k_plus, k_own = cagniard._gamma_vec(t, q, geom, branch)
     gam_sq, q_sq = gam * gam, q * q
     # Matching on the speed also reuses k_own where two speeds coincide,
@@ -270,7 +275,7 @@ def _volume_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     k_porous = tuple(
         k_own if v == branch.v_bottom
         else branch_sqrt((1.0 / (v * v) + gam_sq) + q_sq)
-        for v in (pd.v_pf, pd.v_ps, pd.v_s))
+        for v in model.speeds[1:])
     return _contour_values(model, branch, gam, dgdt, q, (k_plus, *k_porous))
 
 
@@ -281,26 +286,10 @@ def _head_values(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     Every vertical slowness takes the rim below the cuts the head segment
     lies on (branch_math.kappa_below_cut).
     """
-    ac, pd = model.acoustic, model.poro
     ups, dups, _, _ = cagniard._upsilon_vec(t, q, geom, branch)
     zeta = -ups.imag
-    kappas = tuple(kappa_below_cut(v, zeta, q)
-                   for v in (ac.v_plus, pd.v_pf, pd.v_ps, pd.v_s))
+    kappas = tuple(kappa_below_cut(v, zeta, q) for v in model.speeds)
     return _contour_values(model, branch, ups, dups, q, kappas)
-
-
-def _classify(t: np.ndarray, arr: ArrivalTimes) -> np.ndarray:
-    """Regime code (_QUIET, _HEAD, _MIXED, _VOLUME) of every sample.
-
-    Quiet up to the onset plus _EDGE_BAND (t_h1, or t0 without a head
-    segment), head up to t0, mixed up to t_h2 and volume after.  Every
-    live sample is evaluated at its own time.
-    """
-    band = _EDGE_BAND * np.abs(t)
-    if not arr.head_exists:
-        return np.where(t <= arr.t0 + band, _QUIET, _VOLUME)
-    return np.select([t <= arr.t_h1 + band, t <= arr.t0, t <= arr.t_h2],
-                     [_QUIET, _HEAD, _MIXED], _VOLUME)
 
 
 def _windows(t, regime, geom: Geometry, branch: WaveBranch, v_max: float):
@@ -308,20 +297,18 @@ def _windows(t, regime, geom: Geometry, branch: WaveBranch, v_max: float):
 
     Returns (integrand, endpoint, rows, a, b) tuples: integrand is
     _volume_values or _head_values, rows the sample indices, (a, b) the
-    window bounds.  The regime codes alone pick the windows:
-    - mixed and volume samples get the volume window (0, q0), upper_sqrt;
-    - head samples get the head window (0, q1) and mixed samples the head
-      window (q0, q1), both lower_sqrt: with a = 0 that rule gives the
-      nodes and weights of the plain midpoint rule bit for bit, since
-      sqrt(u*u) = u in binary64.
-    Volume windows come first, so each sample adds its volume part before
-    its head part.  An empty window (b <= a) integrates to 0.
+    window bounds.  The regime codes alone pick the windows, as
+    cagniard._classify states.  Volume windows take the upper_sqrt rule and
+    head windows lower_sqrt: with a = 0 that rule gives the nodes and
+    weights of the plain midpoint rule bit for bit, since sqrt(u*u) = u in
+    binary64.  Volume windows come first, so each sample adds its volume
+    part before its head part.  An empty window (b <= a) integrates to 0.
     """
-    vol = np.flatnonzero(regime >= _MIXED)  # mixed or volume
+    vol = np.flatnonzero(regime >= cagniard._MIXED)  # mixed or volume
     lo = np.zeros(t.size)
     if vol.size:
         lo[vol] = cagniard._q0_vec(t[vol], geom, branch)
-    head = np.flatnonzero((regime == _HEAD) | (regime == _MIXED))
+    head = np.flatnonzero(np.isin(regime, (cagniard._HEAD, cagniard._MIXED)))
     groups = [(_volume_values, "upper_sqrt", vol, np.zeros(vol.size), lo[vol])]
     if head.size:
         groups.append((_head_values, "lower_sqrt", head, lo[head],
@@ -330,13 +317,13 @@ def _windows(t, regime, geom: Geometry, branch: WaveBranch, v_max: float):
 
 
 def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
-                   t_grid: np.ndarray, cfg: QuadratureConfig,
-                   n_channels: int) -> np.ndarray:
-    """Shared time loop of the reflected and transmitted traces.
+                   t_grid: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    """Shared time loop of every wave's trace: one column per CHANNELS entry.
 
-    _classify's regime is the one decision per sample: quiet samples,
-    those within the onset band included, stay exactly 0, and the others
-    integrate, at their own time, the windows _windows gives their regime.
+    cagniard._classify's regime is the one decision per sample: quiet
+    samples, those within the onset band included, stay exactly 0, and the
+    others integrate, at their own time, the windows _windows gives their
+    regime.
     The windows of all samples are found at once, in two groups: volume
     and head.  Consecutive non-empty windows of one group are then joined
     into chunks of at most _CHUNK_NODES nodes (at least one window), and
@@ -350,8 +337,8 @@ def _contour_trace(model: HalfspaceModel, geom: Geometry, branch: WaveBranch,
     chunk's windows taken one at a time.
     """
     arr = arrival_times(geom, branch, model.v_max)
-    regime = _classify(t_grid, arr)
-    out = np.zeros((t_grid.size, n_channels))
+    regime = cagniard._classify(t_grid, arr)
+    out = np.zeros((t_grid.size, len(CHANNELS[branch.kind])))
     try:
         windows = _windows(t_grid, regime, geom, branch, model.v_max)
     except PoroseisError as exc:
@@ -396,7 +383,7 @@ def _name_sample(exc: Exception, i, t_grid, regime,
                  branch: WaveBranch) -> Exception:
     """exc with the t, regime and branch of sample i appended."""
     exc.args = (f"{exc} [t={float(t_grid[i])}, "
-                f"regime={_REGIME_NAMES[regime[i]]}, "
+                f"regime={cagniard._REGIME_NAMES[regime[i]]}, "
                 f"branch={branch.kind.value}]",) + exc.args[1:]
     return exc
 
@@ -431,30 +418,29 @@ def incident_trace(model: HalfspaceModel, receiver: Receiver,
                             u_x=off * ramp, u_z=dz * ramp)
 
 
+def _wave_columns(model: HalfspaceModel, receiver: Receiver, kind: WaveKind,
+                  t_grid, cfg: QuadratureConfig) -> np.ndarray:
+    """The CHANNELS[kind] columns of one wave at a receiver, one row each;
+    DomainError where receiver_branches does not list the wave."""
+    branch = receiver_branches(model, receiver).get(kind)
+    if branch is None:
+        raise DomainError(f"no {kind.value} wave at receiver z={receiver.z}")
+    return _contour_trace(model, _geometry_for(model, receiver), branch,
+                          np.asarray(t_grid, float), cfg).T
+
+
 def reflected_trace(model: HalfspaceModel, receiver: Receiver,
                     t_grid: np.ndarray, cfg: QuadratureConfig) -> ReflectedChannels:
     """Reflected-wave channels at a fluid-side receiver."""
-    if not receiver.z > 0.0:
-        raise DomainError(
-            f"reflected wave lives in the fluid; receiver z={receiver.z}")
-    geom = _geometry_for(model, receiver)
-    branch = reflected_branch(model.acoustic)
-    vals = _contour_trace(model, geom, branch, np.asarray(t_grid, float),
-                          cfg, 3)
-    return ReflectedChannels(xi=vals[:, 0], u_x=vals[:, 1], u_z=vals[:, 2])
+    return ReflectedChannels(*_wave_columns(model, receiver, WaveKind.REFLECTED,
+                                            t_grid, cfg))
 
 
 def transmitted_trace(model: HalfspaceModel, receiver: Receiver, kind: WaveKind,
                       t_grid: np.ndarray, cfg: QuadratureConfig) -> TransmittedChannels:
     """One transmitted-wave branch at a porous-side receiver."""
-    if not receiver.z < 0.0:
-        raise DomainError(
-            f"transmitted waves live in the porous side; receiver z={receiver.z}")
-    geom = _geometry_for(model, receiver)
-    branch = transmitted_branches(model.acoustic, model.poro)[kind]
-    vals = _contour_trace(model, geom, branch, np.asarray(t_grid, float),
-                          cfg, 2)
-    return TransmittedChannels(u_x=vals[:, 0], u_z=vals[:, 1])
+    return TransmittedChannels(*_wave_columns(model, receiver, kind, t_grid,
+                                              cfg))
 
 
 def green_trace(model: HalfspaceModel, receiver: Receiver, t_grid: np.ndarray,
@@ -464,33 +450,34 @@ def green_trace(model: HalfspaceModel, receiver: Receiver, t_grid: np.ndarray,
     if receiver.z == 0.0:
         raise DomainError("receiver must not sit exactly on the interface")
     if receiver.z > 0.0:
-        return GreenTrace(
-            t=t_grid, receiver=receiver,
-            incident=incident_trace(model, receiver, t_grid),
-            reflected=reflected_trace(model, receiver, t_grid, cfg),
-            transmitted={},
-        )
-    transmitted = {
-        kind: transmitted_trace(model, receiver, kind, t_grid, cfg)
-        for kind in (WaveKind.TRANSMITTED_PF, WaveKind.TRANSMITTED_PS,
-                     WaveKind.TRANSMITTED_S)
-    }
+        return GreenTrace(t=t_grid, receiver=receiver,
+                          incident=incident_trace(model, receiver, t_grid),
+                          reflected=reflected_trace(model, receiver, t_grid, cfg),
+                          transmitted={})
+    transmitted = {kind: transmitted_trace(model, receiver, kind, t_grid, cfg)
+                   for kind in receiver_branches(model, receiver)}
     return GreenTrace(t=t_grid, receiver=receiver, incident=None,
                       reflected=None, transmitted=transmitted)
+
+
+def receiver_branches(model: HalfspaceModel,
+                      receiver: Receiver) -> dict[WaveKind, WaveBranch]:
+    """The wave branches present at a receiver, in output order: the
+    reflected wave above the interface (z > 0); the P-fast, P-slow and S
+    transmitted waves below; none on it."""
+    if receiver.z > 0.0:
+        return {WaveKind.REFLECTED: reflected_branch(model.acoustic)}
+    if receiver.z < 0.0:
+        return transmitted_branches(model.acoustic, model.poro)
+    return {}
 
 
 def branch_arrivals(model: HalfspaceModel,
                     receiver: Receiver) -> dict[WaveKind, ArrivalTimes]:
     """Arrival-time structures of every branch present at a receiver."""
     geom = _geometry_for(model, receiver)
-    if receiver.z > 0.0:
-        branch = reflected_branch(model.acoustic)
-        return {WaveKind.REFLECTED: arrival_times(geom, branch, model.v_max)}
-    return {
-        kind: arrival_times(geom, branch, model.v_max)
-        for kind, branch in transmitted_branches(model.acoustic,
-                                                 model.poro).items()
-    }
+    return {kind: arrival_times(geom, branch, model.v_max)
+            for kind, branch in receiver_branches(model, receiver).items()}
 
 
 def rotate_to_3d(u_x: np.ndarray, u_z: np.ndarray, x: float, y: float):

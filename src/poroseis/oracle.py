@@ -37,10 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cagniard import (Geometry, WaveBranch, WaveKind, _p0_vec, arrival_times,
-                       reflected_branch, snell_time, transmitted_branches)
+                       snell_time)
 from .coefficients import _solve_batch, _structural_entries
 from .errors import DomainError, NotConverged
-from .green import HalfspaceModel, Receiver, _geometry_for
+from .green import (CHANNELS, HalfspaceModel, Receiver, _geometry_for,
+                    receiver_branches)
 
 # Channels integrable by laplace_reference, keyed by name.  Parity refers to
 # the q_x dependence of the spectral density after stripping the i*q_x of
@@ -48,17 +49,18 @@ from .green import HalfspaceModel, Receiver, _geometry_for
 # q_x * sin.
 _EVEN, _ODD = "even", "odd"
 
-_FLUID_CHANNELS = ("xi_ref", "u_ref_x", "u_ref_z", "u_inc_z")
-_POROUS_CHANNELS = ("u_pf_x", "u_pf_z", "u_ps_x", "u_ps_z", "u_s_x", "u_s_z")
+# Fluid-side channels; the other trace channels (green.CHANNELS) are porous.
+_FLUID_CHANNELS = CHANNELS[WaveKind.REFLECTED] + ("u_inc_z",)
 # laplace_nodes ends LAPLACE_SPAN / s past the onset (truncation exp(-34)
 # against the 1e-3 verify gate), with _LAPLACE_ORDER nodes per piece.
 LAPLACE_SPAN = 34.0
 _LAPLACE_ORDER = 64
-# Largest buffer of one oracle sum.  laplace_reference checks the angular
-# (2n, m) float64 buffer against it, and MAX_GRID_N, the largest probe
-# order, keeps (2n)^2 float64 values within it.
+# Largest buffer of one oracle sum: laplace_reference refuses a probe whose
+# angular (2n, m) float64 buffer at the doubled order would pass it.
 _MAX_BUFFER_BYTES = 2 ** 30
-MAX_GRID_N = math.isqrt(_MAX_BUFFER_BYTES // 8) // 2
+# Largest accepted radial order (LaplaceProbe.n, verify.grid_n): an input
+# bound only, since no buffer grows with its square.
+MAX_GRID_N = 5792
 # Aliasing bound at which _angular_order stops: below round-off of the sums.
 _ANGULAR_TOL = 1e-17
 
@@ -146,9 +148,8 @@ def default_probe(model: HalfspaceModel, receiver: Receiver, s: float,
         depth = z + h
         t_v = depth / v_plus
     else:
-        pd = model.poro
         depth = h - z
-        t_v = h / v_plus - z / min(pd.v_pf, pd.v_ps, pd.v_s)
+        t_v = h / v_plus - z / min(model.speeds[1:])
     q_width = (46.0 / s + t_v) / depth
     return LaplaceProbe(s=s, receiver=receiver, q_width=q_width, n=n)
 
@@ -219,15 +220,11 @@ def _grid_solution(model: HalfspaceModel, q_width: float, n: int):
     real systems.
     """
     rho, weight = _gauss_nodes(q_width, n)
-    ac, pd = model.acoustic, model.poro
     qq = rho * rho
-    ka = np.sqrt(1.0 / ac.v_plus ** 2 + qq)
-    kpf = np.sqrt(1.0 / pd.v_pf ** 2 + qq)
-    kps = np.sqrt(1.0 / pd.v_ps ** 2 + qq)
-    ks = np.sqrt(1.0 / pd.v_s ** 2 + qq)
-    coef = _solve_batch(_structural_entries(ac, pd, qq, ka, kpf, kps, ks),
-                        rho, 0.0)
-    return rho, weight, ka, kpf, kps, ks, coef
+    kappas = [np.sqrt(1.0 / v ** 2 + qq) for v in model.speeds]
+    coef = _solve_batch(
+        _structural_entries(model.acoustic, model.poro, qq, *kappas), rho, 0.0)
+    return rho, weight, *kappas, coef
 
 
 def _channel_parts(model: HalfspaceModel, receiver: Receiver, channel: str,
@@ -236,14 +233,12 @@ def _channel_parts(model: HalfspaceModel, receiver: Receiver, channel: str,
     ac, pd = model.acoustic, model.poro
     h = model.source_height
     z = receiver.z
-    if channel in _FLUID_CHANNELS:
-        if not z > 0.0:
-            raise DomainError(f"channel {channel} needs a fluid-side receiver")
-    elif channel in _POROUS_CHANNELS:
-        if not z < 0.0:
-            raise DomainError(f"channel {channel} needs a porous-side receiver")
-    else:
+    fluid = channel in _FLUID_CHANNELS
+    if not fluid and channel not in sum(CHANNELS.values(), ()):
         raise ValueError(f"unknown channel {channel!r}")
+    if not (z > 0.0 if fluid else z < 0.0):
+        side = "fluid" if fluid else "porous"
+        raise DomainError(f"channel {channel} needs a {side}-side receiver")
 
     if channel == "u_inc_z":
         dens = np.full_like(ka, math.copysign(1.0, z - h)
@@ -366,11 +361,11 @@ def laplace_nodes(model: HalfspaceModel, receiver: Receiver, kind: WaveKind,
     square-root edge at either end smooth.
     """
     geom = _geometry_for(model, receiver)
-    branches = {WaveKind.REFLECTED: reflected_branch(model.acoustic),
-                **transmitted_branches(model.acoustic, model.poro)}
-    branch = branches[kind]
+    branch = receiver_branches(model, receiver).get(kind)
+    if branch is None:
+        raise DomainError(f"no {kind.value} wave at receiver z={receiver.z}")
     edges = [arrival_times(geom, branch, model.v_max).t0]
-    for v in {b.v_bottom for b in branches.values()}:  # every speed
+    for v in model.speeds:
         if v > max(branch.v_top, branch.v_bottom):
             arr = arrival_times(geom, branch, v)
             if arr.head_exists:

@@ -267,6 +267,26 @@ def test_head_window_shape(branches, wide_geom, model):
     assert hi <= arr.q_max * (1.0 + 1e-12)
 
 
+def test_window_api_keeps_the_quiet_band(branches, porous_geom, fluid_geom,
+                                         acoustic, model):
+    """Within 1e-12 * t of the onset a sample is quiet (_classify), and the
+    public windows agree with the engine, which writes an exact 0 there:
+    no head window or head point just past the fixture P-slow head onset,
+    no volume window just past the fixture reflected arrival."""
+    branch = branches[WaveKind.TRANSMITTED_PS]
+    arr = arrival_times(porous_geom, branch, model.v_max)
+    assert arr.head_exists
+    t = arr.t_h1 * (1.0 + 5e-13)
+    assert head_window(t, arr, porous_geom, branch, model.v_max) is None
+    with pytest.raises(DomainError):
+        upsilon(t, 0.0, porous_geom, branch, model.v_max)
+    reflected = reflected_branch(acoustic)
+    arr = arrival_times(fluid_geom, reflected, model.v_max)
+    assert not arr.head_exists
+    assert volume_window(arr.t0 * (1.0 + 5e-13), arr, fluid_geom,
+                         reflected) is None
+
+
 def test_volume_window_closes_before_arrival(branches, porous_geom, model):
     branch = branches[WaveKind.TRANSMITTED_PF]
     arr = arrival_times(porous_geom, branch, model.v_max)

@@ -20,8 +20,9 @@ from poroseis.cli import (ConfigError, fixture_config, load_config, main,
                           run_compute, run_verify, verify_rows, _media_hash,
                           _time_grid)
 from poroseis.errors import DomainError, NotConverged, SingularSystem
-from poroseis.green import (ReflectedChannels, branch_arrivals, green_trace,
-                            reflected_trace, transmitted_trace)
+from poroseis.green import (CHANNELS, ReflectedChannels, branch_arrivals,
+                            green_trace, receiver_branches, reflected_trace,
+                            transmitted_trace)
 from poroseis.oracle import laplace_nodes
 
 
@@ -61,8 +62,7 @@ def test_fixture_command_prints_loadable_config(capsys):
     (lambda c: c["verify"].update(s_values_per_s=[0]), "positive, got 0"),
     (lambda c: c["verify"].update(s_values_per_s=[-5]), "positive, got -5"),
     (lambda c: c["verify"].update(grid_n=7), "grid_n must be an integer"),
-    # Above MAX_GRID_N: the doubled radial order, squared, in float64 would
-    # pass 1 GiB.
+    # Above MAX_GRID_N, the radial order's input bound.
     (lambda c: c["verify"].update(grid_n=5793), r"grid_n .* got 5793"),
     (lambda c: c["verify"].update(grid_n=100000), r"grid_n .* got 100000"),
     # A transform span 34/s over which the fastest wave travels past the
@@ -163,6 +163,31 @@ def test_compute_writes_csv_trace(tmp_path, capsys):
     assert data.shape == (601, 5)
     assert np.any(data[:, 1] != 0.0)
     assert not np.any(data[:, 3])
+
+
+@pytest.mark.parametrize("blocked", ["directory", "trace file"])
+def test_compute_reports_an_unwritable_output_path(blocked, tmp_path, capsys):
+    """A file where the output directory should be, or a directory where
+    the trace file should be, is a file problem: exit 2 with one line
+    naming the path, and no trace file written."""
+    out = tmp_path / "run"
+    if blocked == "directory":
+        out.write_text("not a directory")
+        path = out
+    else:
+        path = out / "receiver_001.csv"
+        path.mkdir(parents=True)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(out)))
+    assert main(["compute", "--config", str(cfg_path), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"file error: cannot write "
+                                               f"{path}: ")
+    if blocked == "directory":
+        assert out.read_text() == "not a directory"
+    else:
+        assert [p.name for p in out.iterdir()] == ["receiver_001.csv"]
+        assert not any(path.iterdir())
 
 
 def test_compute_is_deterministic(tmp_path):
@@ -427,6 +452,10 @@ def test_verify_traces_each_branch_once(monkeypatch):
                    for probe in probes}.values()) == [
         (-533.0, 20.0), (-533.0, 40.0), (533.0, 20.0), (533.0, 40.0)]
     assert not unconverged
+    assert [row[0] for row in rows] == [
+        name for rec in (fluid, porous) for s in (40.0, 20.0)
+        for kind in receiver_branches(setup.model, rec)
+        for name in CHANNELS[kind]]
     assert rows == [row for i in (1, 2) for s in (40.0, 20.0)
                     for row in own[s] if row[1] == i]
 

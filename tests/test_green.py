@@ -302,25 +302,25 @@ def test_reflected_jump_matches_the_ray_limit(model, fluid_receiver, n):
 
 def _per_sample_trace(model, geom, branch, t_grid, cfg, n_channels):
     """Reference time loop: one sample at a time through quadrature()."""
-    from poroseis import green
+    from poroseis import cagniard, green
     from poroseis.cagniard import arrival_times, head_window, q0_of_t
 
     arr = arrival_times(geom, branch, model.v_max)
-    regime = green._classify(t_grid, arr)
+    regime = cagniard._classify(t_grid, arr)
     out = np.zeros((t_grid.size, n_channels))
     for i, (reg, t) in enumerate(zip(regime, t_grid)):
         t = float(t)
-        if reg in (green._MIXED, green._VOLUME):
+        if reg in (cagniard._MIXED, cagniard._VOLUME):
             out[i] += quadrature(
                 lambda q: green._volume_values(model, geom, branch, t, q),
                 0.0, q0_of_t(t, geom, branch), cfg, "upper_sqrt")
-        if reg in (green._HEAD, green._MIXED):
+        if reg in (cagniard._HEAD, cagniard._MIXED):
             window = head_window(t, arr, geom, branch, model.v_max)
             if window is not None:
                 out[i] += quadrature(
                     lambda q: green._head_values(model, geom, branch, t, q),
                     window[0], window[1], cfg,
-                    "lower_sqrt" if reg == green._MIXED else "regular")
+                    "lower_sqrt" if reg == cagniard._MIXED else "regular")
     return out / math.pi ** 2, regime
 
 
@@ -333,7 +333,7 @@ def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
     Every node of the per-window loop is solved and gated exactly once,
     and chunks do join windows; the engine solves in closed form and never
     calls the LAPACK solve."""
-    from poroseis import coefficients, green
+    from poroseis import cagniard, coefficients, green
     from poroseis.cagniard import (arrival_times, reflected_branch,
                                    transmitted_branches)
 
@@ -385,10 +385,10 @@ def test_time_loop_matches_per_sample_quadrature(model, monkeypatch):
                                            n_channels)
         per_window = np.concatenate(points)
         assert {p.size for p in points} == {cfg.n}
-        seen |= {(branch.kind, green._REGIME_NAMES[r]) for r in regime}
+        seen |= {(branch.kind, cagniard._REGIME_NAMES[r]) for r in regime}
         points.clear()
         gates.clear()
-        got = green._contour_trace(model, geom, branch, t, cfg, n_channels)
+        got = green._contour_trace(model, geom, branch, t, cfg)
         chunked = np.concatenate(points)
         assert max(p.size for p in points) == 3 * cfg.n
         assert gates == [p.size for p in points]

@@ -14,8 +14,8 @@ from poroseis.cagniard import (Geometry, WaveBranch, WaveKind, arrival_times,
 from poroseis import coefficients
 from poroseis.coefficients import _solve_batch, _structural_entries
 from poroseis.errors import DomainError, NotConverged
-from poroseis.green import (HalfspaceModel, Receiver, branch_arrivals,
-                            incident_trace)
+from poroseis.green import (CHANNELS, HalfspaceModel, Receiver,
+                            branch_arrivals, incident_trace)
 from poroseis.media import derive_poroelastic
 from poroseis.oracle import (LaplaceProbe, bisect_q_max, default_probe,
                              grid_min_arrival,
@@ -136,9 +136,9 @@ def test_probe_validation(fluid_receiver):
         LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=0.0, n=64)
     with pytest.raises(ValueError):
         LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=1e-3, n=4)
-    # The doubled radial order, squared, in float64 stays within 1 GiB.
+    # The radial order's input bound.
     n_max = oracle.MAX_GRID_N
-    assert 32 * n_max ** 2 <= 2 ** 30 < 32 * (n_max + 1) ** 2
+    assert n_max == 5792
     LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=1e-3, n=n_max)
     with pytest.raises(ValueError, match="grid order above"):
         LaplaceProbe(s=20.0, receiver=fluid_receiver, q_width=1e-3,
@@ -153,12 +153,16 @@ def test_reference_rejects_unknown_channel(model, fluid_receiver):
 
 def test_reference_enforces_receiver_side(model, fluid_receiver,
                                           porous_receiver):
-    up = default_probe(model, fluid_receiver, 20.0, n=16)
-    with pytest.raises(DomainError):
-        laplace_reference(up, model, "u_s_z")
-    down = default_probe(model, porous_receiver, 20.0, n=16)
-    with pytest.raises(DomainError):
-        laplace_reference(down, model, "xi_ref")
+    """Every trace channel name of green.CHANNELS is an oracle channel on
+    its own side of the interface and a DomainError on the other."""
+    up = default_probe(model, fluid_receiver, 20.0)
+    down = default_probe(model, porous_receiver, 20.0)
+    for kind, names in CHANNELS.items():
+        own, other = (up, down) if kind is WaveKind.REFLECTED else (down, up)
+        for name in names:
+            assert math.isfinite(laplace_reference(own, model, name))
+            with pytest.raises(DomainError):
+                laplace_reference(other, model, name)
 
 
 def test_reference_enforces_edge_decay(model, fluid_receiver):
